@@ -14,6 +14,9 @@ Two layers:
   prefix below ``lo`` (a preceding pass, or nothing when lo == 1) a simple
   induction gives the full claim, and the per-element work is independent
   of processing order, so worker count never changes a reported number.
+  Above 1 the sweep is sieved mod 2**16: most residue classes provably drop
+  at a fixed step (Terras 1976), so only the surviving classes are iterated
+  and every other class is settled once per chunk.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -21,11 +24,14 @@ reported loudly in the output record, never folded into other outcomes.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 from . import core, quotient
 from .cache import OrbitCache
@@ -474,6 +480,105 @@ def _sweep_chunk(args: tuple[int, int, int]) -> tuple:
     return (lo, hi, count, segs, drops, chunk_max, cycles, truncated)
 
 
+# Residue sieve for lo > 1 (Terras 1976).  The x whose first s steps halve
+# a fixed number of times each form one class mod a power of 2, on which
+# T^s(x) = (a*x + b) >> e with a = 3**s and one b and e.  Once 2**e > a,
+# every member above b // (2**e - a) has dropped below itself at step s,
+# and every earlier value was above x and grows with x.  Refining these
+# classes down to modulus 2**k sorts each odd residue mod 2**k into a class
+# that drops, or leaves it a survivor.  For k = 16 the largest threshold
+# b // (2**e - a) is 24 and the only member at or below its class's
+# threshold is 1, so in a window above 1 every class member drops at the
+# class's step.
+
+_SIEVE_BITS = 16
+_SIEVE_MOD = 1 << _SIEVE_BITS
+
+
+class _SieveTable(NamedTuple):
+    survivors: tuple[int, ...]  # odd residues mod 2**k whose drop is undecided
+    # The dropping classes x = r (mod period), period <= 2**k, as
+    # (mul, add, s, r, period): each member above 1 drops at step s, and its
+    # peak is at most (mul*x + add) >> k.  mul descending.
+    classes: tuple[tuple[int, int, int, int, int], ...]
+
+
+@functools.cache
+def _sieve_table() -> _SieveTable:
+    """The sieve mod 2**_SIEVE_BITS, built once per process on first use."""
+    bits, mod = _SIEVE_BITS, _SIEVE_MOD
+    survivors: list[int] = []
+    classes: list[tuple[int, int, int, int, int]] = []
+    stack = [(1, 0, 0, 0, mod, 0)]  # (a, b, e, s, mul, add) of an undecided class
+    while stack:
+        a, b, e, s, m, c = stack.pop()
+        a, b, s = 3 * a, 3 * b + (1 << e), s + 1
+        inv = pow(a, -1, mod)
+        for f in range(e + 1, bits + 1):
+            # The members with f halvings in all after s steps solve
+            # a*x + b = 2**f (mod 2**(f+1)); f == bits means bits or more.
+            period = min(2 << f, mod)
+            r = ((1 << f) - b) * inv % period
+            if 1 << f > a:
+                classes.append((m, c, s, r, period))
+            elif f == bits:
+                survivors.append(r)
+            else:
+                stack.append((a, b, f, s, max(m, a << (bits - f)), max(c, b << (bits - f))))
+    return _SieveTable(tuple(sorted(survivors)), tuple(sorted(classes, reverse=True)))
+
+
+def _u0_count(lo: int, hi: int) -> int:
+    def upto(n: int) -> int:
+        q, r = divmod(n, 6)
+        return 2 * q + (r >= 1) + (r >= 5)
+
+    return upto(hi) - upto(lo - 1)
+
+
+def _top_member(r: int, period: int, lo: int, hi: int) -> int:
+    """The largest x = r (mod period) in [lo, hi] with x % 3 != 0, or 0.
+
+    period is a power of 2, so of two neighbours at most one is a multiple of 3.
+    """
+    x = hi - (hi - r) % period
+    if x % 3 == 0:
+        x -= period
+    return x if x >= lo else 0
+
+
+def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
+    # (count, steps_max, exc_max, cycles, truncated): the aggregate of
+    # _segment_outcome over the elements of [lo, hi], lo > 1.  Only the
+    # survivors and the classes that drop beyond max_steps are iterated;
+    # every other class is settled whole.
+    lo, hi, max_steps = args
+    survivors, classes = _sieve_table()
+    bits, mod = _SIEVE_BITS, _SIEVE_MOD
+    residues = [*survivors, *chain.from_iterable(
+        range(r, mod, period) for _, _, s, r, period in classes if s > max_steps)]
+    steps_max = exc_max = 0
+    cycles: list[int] = []
+    truncated: list[int] = []
+    for x in (base + r for base in range(lo - lo % mod, hi + 1, mod) for r in residues):
+        if lo <= x <= hi and x % 3:
+            kind, s, _, mx = _segment_outcome(x, max_steps)
+            if kind == "drop":
+                steps_max = max(steps_max, s)
+            elif kind == "cycle":
+                cycles.append(x)
+            else:
+                truncated.append(x)
+            exc_max = max(exc_max, mx)
+
+    for m, c, s, r, period in classes:
+        if s <= max_steps and (x := _top_member(r, period, lo, hi)):
+            steps_max = max(steps_max, s)
+            if (m * x + c) >> bits > exc_max:
+                exc_max = max(exc_max, _segment_outcome(x, max_steps)[3])
+    return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
+
+
 def _chunk_spans(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     span = hi - lo + 1
     n_chunks = min(max(1, workers * 4), max(1, span // 10_000 + 1))
@@ -510,7 +615,9 @@ def verify_conjecture_range(
     composed from the segments in ascending order, and an attached cache is
     consulted before iterating and extended with every newly computed
     element.  For lo > 1 exact totals are not derivable from the range
-    alone, so statistics are segment-local and the cache is left untouched.
+    alone, so statistics are segment-local and the cache is left untouched;
+    the residue classes mod 2**16 that provably drop at a fixed step are
+    then settled per class instead of per element, with the same report.
     """
     if lo < 1:
         raise DomainError(f"lo must be >= 1, got {lo}")
@@ -524,33 +631,30 @@ def verify_conjecture_range(
     if lo == 1 and cache is not None:
         return _sweep_with_cache(hi, max_steps, cache)
 
-    spans = _chunk_spans(lo, hi, workers)
-    args = [(a, b, max_steps) for a, b in spans]
+    if lo == 1:
+        kernel = _sweep_chunk
+    else:
+        kernel = _sieve_chunk
+        _sieve_table()  # built before the pool forks, so workers inherit it
+    args = [(a, b, max_steps) for a, b in _chunk_spans(lo, hi, workers)]
     if workers == 1 or len(args) == 1:
-        chunks = [_sweep_chunk(a) for a in args]
+        chunks = [kernel(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_chunk, args))
+            chunks = list(pool.map(kernel, args))
+    if lo == 1:
+        totals_max = _derive_totals(hi, chunks)
+        chunks = [(c[2], totals_max, c[5], c[6], c[7]) for c in chunks]
 
-    checked = 0
-    exc_max = 0
+    checked = steps_max = exc_max = 0
     cycles: list[int] = []
     truncated: list[int] = []
-    for (_, _, count, _, _, chunk_max, c_cycles, c_trunc) in chunks:
+    for count, c_steps, c_exc, c_cycles, c_trunc in chunks:
         checked += count
-        if chunk_max > exc_max:
-            exc_max = chunk_max
+        steps_max = max(steps_max, c_steps)
+        exc_max = max(exc_max, c_exc)
         cycles.extend(c_cycles)
         truncated.extend(c_trunc)
-
-    if lo == 1:
-        steps_max = _derive_totals(hi, chunks)
-    else:
-        steps_max = 0
-        for (_, _, _, segs, drops, _, _, _) in chunks:
-            for s, d in zip(segs, drops):
-                if d >= 0 and s > steps_max:
-                    steps_max = s
 
     return RangeVerificationReport(
         lo=lo,

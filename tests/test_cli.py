@@ -113,6 +113,17 @@ class TestWorkedExamples:
         assert env["result"]["elements_checked"] == 333
         assert env["result"]["max_steps_observed"] == 65
 
+    def test_verify_range_above_two_to_the_64(self, capsys):
+        lo, hi = 2**64, 2**64 + 1_000
+        code, env, _ = run_json(capsys, "verify", "range", "--from", str(lo), "--to", str(hi))
+        assert code == 0
+        assert env["result"]["all_reach_one"] is True
+
+        def u0_upto(n):  # how many of 1..n are 1 or 5 mod 6
+            return 2 * (n // 6) + (n % 6 >= 1) + (n % 6 >= 5)
+
+        assert env["result"]["elements_checked"] == u0_upto(hi) - u0_upto(lo - 1) == 334
+
 
 class TestEnvelope:
     def test_canonical_round_trip_bytes(self, capsys):

@@ -1,11 +1,14 @@
 """Verification engine: lemma suite wiring, range sweep semantics."""
 
+import random
+
 import pytest
 
 from collatzq import (
     CHECK_IDS,
     DomainError,
     OrbitCache,
+    RangeVerificationReport,
     run_lemma_suite,
     u0_range,
     verify_conjecture_range,
@@ -216,3 +219,118 @@ class TestRangeSweepWithCache:
         verify_conjecture_range(5, 100, cache=cache)
         assert (cache.hits, cache.misses) == (0, 0)
         assert len(OrbitCache(tmp_path / "c.jsonl")) == 0
+
+
+def per_element_report(lo, hi, max_steps):
+    """The report of [lo, hi], lo > 1, aggregated from _segment_outcome on every element."""
+    steps = exc = count = 0
+    cycles, truncated = [], []
+    for x in u0_range(lo, hi):
+        kind, s, _, mx = verify_mod._segment_outcome(x, max_steps)
+        count += 1
+        exc = max(exc, mx)
+        if kind == "drop":
+            steps = max(steps, s)
+        elif kind == "cycle":
+            cycles.append(x)
+        else:
+            truncated.append(x)
+    return RangeVerificationReport(
+        lo=lo,
+        hi=hi,
+        elements_checked=count,
+        all_reach_one=not cycles and not truncated,
+        max_steps_observed=steps,
+        max_excursion_observed=exc,
+        cycles_found=cycles,
+        truncated_elements=truncated,
+    )
+
+
+def segment_by_division(x, budget):
+    """(steps until the trajectory of x drops below x, peak before it), or None."""
+    v, peak = x, x
+    for s in range(1, budget + 1):
+        t = 3 * v + 1
+        while t % 2 == 0:
+            t //= 2
+        v = t
+        if v < x:
+            return s, peak
+        peak = max(peak, v)
+    return None
+
+
+class TestResidueSieve:
+    MOD = 2**16
+    REGIONS = {"low": (2, 5_000), "mid": (10**12, 10**13), "high": (2**64, 2**66)}
+
+    @pytest.mark.parametrize("max_steps", [*range(1, 12), 10_000])
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_matches_per_element_oracle(self, region, max_steps):
+        rng = random.Random(f"{region}:{max_steps}")
+        start, end = self.REGIONS[region]
+        widths = [rng.randrange(0, 60), rng.randrange(60, 3_000)]
+        if region != "low":
+            widths.append(self.MOD + rng.randrange(1, self.MOD // 4))
+        for width in widths:
+            lo = rng.randrange(start, end - width)
+            hi = lo + width
+            want = per_element_report(lo, hi, max_steps)
+            for workers in (1, 2):
+                assert verify_conjecture_range(lo, hi, max_steps, workers) == want
+
+    def test_window_of_five_thousand_from_two(self):
+        for max_steps in (3, 10_000):
+            want = per_element_report(2, 5_000, max_steps)
+            assert verify_conjecture_range(2, 5_000, max_steps, workers=2) == want
+
+    def test_sixteen_bits_leave_2114_survivors(self):
+        table = verify_mod._sieve_table()
+        assert len(table.survivors) == 2114
+        sieved = [r for _, _, _, r0, period in table.classes for r in range(r0, self.MOD, period)]
+        assert len(sieved) == len(set(sieved)) == self.MOD // 2 - 2114
+        assert sorted(sieved + list(table.survivors)) == list(range(1, self.MOD, 2))
+
+    def test_sieved_members_drop_at_the_class_step(self):
+        # Every odd x in (1, 2**17), which holds every member at or below a
+        # class threshold, and one member of each class above 2**64, against
+        # trial division: each drops at exactly its class's step, under the
+        # class's peak bound.
+        table = verify_mod._sieve_table()
+        big = 2**64 * 12_345
+        for mul, add, s, r0, period in table.classes:
+            assert 1 <= s <= 10
+            members = [x for x in range(r0, 2 * self.MOD, period) if x > 1]
+            for x in members + [big + r0]:
+                seg = segment_by_division(x, 20)
+                assert seg is not None and seg[0] == s, (x, s, seg)
+                assert seg[1] <= (mul * x + add) >> 16
+        for x in table.survivors:
+            assert segment_by_division(x + big, 10) is None
+
+    def test_top_member_is_the_largest_restricted_member(self):
+        rng = random.Random(5)
+        for _ in range(1_000):
+            period = 2 ** rng.randrange(2, 12)
+            r = rng.randrange(1, period, 2)
+            lo = rng.choice([2, 10**12, 2**64]) + rng.randrange(10**5)
+            hi = lo + rng.randrange(3 * period)
+            want = max((x for x in range(lo, hi + 1) if x % period == r and x % 3), default=0)
+            assert verify_mod._top_member(r, period, lo, hi) == want
+
+    def test_synthetic_cycle_above_one_reported(self, monkeypatch):
+        table = verify_mod._sieve_table()
+        lo = 2**64
+        x = next(lo + r for r in table.survivors if (lo + r) % 3)
+        real = verify_mod._segment_outcome
+
+        def fake(z, max_steps):
+            if z == x:
+                return ("cycle", 4, x, 99)
+            return real(z, max_steps)
+
+        monkeypatch.setattr(verify_mod, "_segment_outcome", fake)
+        report = verify_conjecture_range(lo, lo + 1_000, workers=1)
+        assert report.cycles_found == [x]
+        assert not report.all_reach_one
