@@ -9,8 +9,8 @@ import pytest
 
 
 @pytest.fixture
-def run_module():
-    """Run `python -m collatzq ARGS...` in a child process.
+def child_env():
+    """Environment for a child Python that imports the `collatzq` under test.
 
     The child's PYTHONPATH is led by the source root of the `collatzq` the
     tests import, so the child runs the same code even when another copy is
@@ -22,13 +22,19 @@ def run_module():
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([source_root] + ([pythonpath] if pythonpath else []))
+    return env
+
+
+@pytest.fixture
+def run_module(child_env):
+    """Run `python -m collatzq ARGS...` in a child process (see child_env)."""
 
     def _run(*argv):
         return subprocess.run(
             [sys.executable, "-m", "collatzq", *argv],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env,
         )
 
     return _run

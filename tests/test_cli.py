@@ -305,6 +305,57 @@ class TestCachePlumbing:
         assert env2["cache_stats"]["hits"] > 0
         assert env2["cache_stats"]["misses"] == 0
 
+    @pytest.mark.parametrize("tail, command", [
+        ("", ("orbit", "17")),  # the path is a directory
+        ("missing/c.jsonl", ("verify", "range", "--from", "1", "--to", "50")),
+    ])
+    def test_unusable_cache_path_exits_two(self, capsys, tmp_path, tail, command):
+        path = tmp_path / tail
+        code, out, err = run_cli(capsys, *command, "--cache", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("collatzq: cache error: ") and str(path) in err
+
+    def test_non_ascii_cache_exits_two_naming_line(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(
+            b'{"format": "collatz-cache", "version": 1}\n'
+            b'{"x": "7", "steps": 5, "max": "17"}\n'
+            b'{"x": "9", "steps": 13, "max": "5\xc22"}\n'
+        )
+        code, out, err = run_cli(capsys, "orbit", "17", "--cache", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: line 3: non-ASCII byte 0xc2" in err
+
+    def test_store_after_unterminated_last_line(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"format": "collatz-cache", "version": 1}\n'
+            '{"x": "7", "steps": 5, "max": "17"}'
+        )
+        code, env, _ = run_json(capsys, "orbit", "11", "--cache", str(path))
+        assert code == 0
+        assert env["cache_stats"] == {"hits": 0, "misses": 1}
+        code, env2, err = run_json(capsys, "orbit", "11", "--cache", str(path))
+        assert code == 0, err
+        assert env2["cache_stats"] == {"hits": 1, "misses": 0}
+        assert env2["result"] == env["result"]
+        code, env3, _ = run_json(capsys, "orbit", "7", "--cache", str(path))
+        assert code == 0 and env3["cache_stats"] == {"hits": 1, "misses": 0}
+
+    def test_torn_last_line_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"format": "collatz-cache", "version": 1}\n'
+            '{"x": "7", "steps": 5, "max": "17"}\n'
+            '{"x": "11", "steps": 4, "m'
+        )
+        code, out, err = run_cli(capsys, "orbit", "11", "--cache", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: line 3: torn append" in err
+
 
 def _distribution_installed(name):
     try:
