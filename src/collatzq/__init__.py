@@ -9,52 +9,60 @@ structures (bookkeeping), an orbit cache (cache), and a brute-force
 verification engine (verify), all exposed through one CLI (cli).
 """
 
-from .bookkeeping import (
-    BookkeepingWindow,
-    SufficientSetReport,
-    census_class_of_one,
-    class_matrices,
-    connected_class,
-    row_tail_analysis,
-    sufficient_set_check,
-    sufficient_set_members,
-)
-from .cache import CacheEntry, OrbitCache
-from .core import (
-    OrbitRecord,
-    collatz_step,
-    is_u0,
-    iterate,
-    nu2,
-    orbit,
-    preimages,
-    shift,
-    tau,
-    u0_range,
-    xi,
-)
-from .errors import CacheError, DomainError, ResourceLimitError
-from .quotient import (
-    ClassWindow,
-    DeltaSequence,
-    MergeResult,
-    class_inf,
-    class_n,
-    delta_inf,
-    delta_n,
-    delta_sequence,
-    merge,
-    partition_n,
-    strict_inclusion_witness,
-    tstar_apply,
-)
-from .verify import (
-    CHECK_IDS,
-    LemmaCheckResult,
-    RangeVerificationReport,
-    run_lemma_suite,
-    verify_conjecture_range,
-)
+import importlib
+
+# Each public name by the submodule that defines it.  The submodule is
+# imported on first access to one of its names (PEP 562), so a subcommand
+# loads only the modules it runs.
+_SOURCES = {
+    "bookkeeping": (
+        "BookkeepingWindow",
+        "SufficientSetReport",
+        "census_class_of_one",
+        "class_matrices",
+        "connected_class",
+        "row_tail_analysis",
+        "sufficient_set_check",
+        "sufficient_set_members",
+    ),
+    "cache": ("CacheEntry", "OrbitCache"),
+    "core": (
+        "OrbitRecord",
+        "collatz_step",
+        "is_u0",
+        "iterate",
+        "nu2",
+        "orbit",
+        "preimages",
+        "shift",
+        "tau",
+        "u0_range",
+        "xi",
+    ),
+    "errors": ("CacheError", "DomainError", "ResourceLimitError"),
+    "quotient": (
+        "ClassWindow",
+        "DeltaSequence",
+        "MergeResult",
+        "class_inf",
+        "class_n",
+        "delta_inf",
+        "delta_n",
+        "delta_sequence",
+        "merge",
+        "partition_n",
+        "strict_inclusion_witness",
+        "tstar_apply",
+    ),
+    "verify": (
+        "CHECK_IDS",
+        "LemmaCheckResult",
+        "RangeVerificationReport",
+        "run_lemma_suite",
+        "verify_conjecture_range",
+    ),
+}
+_HOME = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -102,3 +110,16 @@ __all__ = [
     "xi",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

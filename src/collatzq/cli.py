@@ -24,10 +24,12 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import bookkeeping, core, quotient, verify
-from .cache import OrbitCache
 from .errors import CacheError, DomainError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .cache import OrbitCache
 
 __all__ = ["main"]
 
@@ -153,6 +155,7 @@ def _build_parser() -> _Parser:
 # command handlers: each returns (parameters, result, exit_code)
 
 def _cmd_orbit(ns, cache):
+    from . import core
     params = {"x": str(ns.x), "max_steps": ns.max_steps, "trace": bool(ns.trace)}
     if ns.trace:
         rec = core.orbit(ns.x, max_steps=ns.max_steps, keep_prefix=True)
@@ -179,6 +182,7 @@ def _cmd_orbit(ns, cache):
 
 
 def _cmd_map(ns, cache):
+    from . import core
     op, x, k = ns.op, ns.x, ns.k
     if op in ("T", "xi", "tau") and k is not None:
         raise DomainError(f"--k does not apply to op {op}")
@@ -201,12 +205,14 @@ def _cmd_map(ns, cache):
 
 
 def _cmd_preimage(ns, cache):
+    from . import core
     params = {"y": str(ns.y), "bound": str(ns.bound), "u0_only": bool(ns.u0_only)}
     pres = core.preimages(ns.y, ns.bound, u0_only=ns.u0_only)
     return params, {"preimages": [str(z) for z in pres], "count": len(pres)}, 0
 
 
 def _cmd_class(ns, cache):
+    from . import quotient
     params = {"x": str(ns.x), "n": ns.n, "bound": str(ns.bound), "method": ns.method}
     win = quotient.class_n(ns.x, ns.n, ns.bound, method=ns.method)
     result = {
@@ -220,6 +226,7 @@ def _cmd_class(ns, cache):
 
 
 def _cmd_class_inf(ns, cache):
+    from . import quotient
     params = {"x": str(ns.x), "bound": str(ns.bound), "cap": ns.cap}
     win = quotient.class_inf(ns.x, ns.bound, ns.cap)
     result = {
@@ -233,6 +240,7 @@ def _cmd_class_inf(ns, cache):
 
 
 def _cmd_delta(ns, cache):
+    from . import quotient
     if ns.sequence:
         params = {"x": str(ns.x), "sequence": True, "max_n": ns.max_n}
         seq = quotient.delta_sequence(ns.x, ns.max_n)
@@ -247,17 +255,20 @@ def _cmd_delta(ns, cache):
 
 
 def _cmd_merge(ns, cache):
+    from . import quotient
     params = {"x": str(ns.x), "z": str(ns.z), "cap": ns.cap}
     res = quotient.merge(ns.x, ns.z, ns.cap)
     return params, {"merge_time": res.merge_time, "decided": res.merge_time is not None}, 0
 
 
 def _cmd_tstar(ns, cache):
+    from . import quotient
     params = {"x": str(ns.x), "cap": ns.cap}
     return params, {"value": str(quotient.tstar_apply(ns.x, ns.cap))}, 0
 
 
 def _cmd_partition(ns, cache):
+    from . import quotient
     params = {"bound": str(ns.bound), "n": ns.n}
     cells = quotient.partition_n(ns.bound, ns.n)
     result = {
@@ -272,12 +283,14 @@ def _cmd_partition(ns, cache):
 
 
 def _cmd_witness(ns, cache):
+    from . import quotient
     params = {"x": str(ns.x), "n": ns.n, "search_cap": str(ns.search_cap)}
     z = quotient.strict_inclusion_witness(ns.x, ns.n, search_cap=ns.search_cap)
     return params, {"witness": str(z)}, 0
 
 
 def _cmd_matrix(ns, cache):
+    from . import bookkeeping
     params = {"x": str(ns.x), "k_min": ns.k_min, "k_max": ns.k_max,
               "n_max": ns.n_max, "bound": str(ns.bound)}
     window = bookkeeping.class_matrices(ns.x, k_min=ns.k_min, k_max=ns.k_max,
@@ -299,6 +312,7 @@ def _cmd_matrix(ns, cache):
 
 
 def _cmd_census(ns, cache):
+    from . import bookkeeping
     params = {"n_max": ns.n_max, "bound": str(ns.bound)}
     counts = bookkeeping.census_class_of_one(ns.n_max, ns.bound)
     result = {"counts": [{"level": n, "count": c} for n, c in counts]}
@@ -306,6 +320,7 @@ def _cmd_census(ns, cache):
 
 
 def _cmd_suffset(ns, cache):
+    from . import bookkeeping
     if ns.members:
         params = {"bound": str(ns.bound), "members": True}
         members = bookkeeping.sufficient_set_members(ns.bound)
@@ -321,6 +336,7 @@ def _cmd_suffset(ns, cache):
 
 
 def _cmd_appendix_class(ns, cache):
+    from . import bookkeeping
     params = {"x": str(ns.x), "bound": str(ns.bound), "k_range": ns.k_range, "cap": ns.cap}
     win = bookkeeping.connected_class(ns.x, ns.bound, ns.k_range, ns.cap)
     result = {
@@ -333,6 +349,7 @@ def _cmd_appendix_class(ns, cache):
 
 
 def _cmd_verify_lemmas(ns, cache):
+    from . import verify
     params = {"bound": str(ns.bound), "n_cap": ns.n_cap, "seed": ns.seed}
     results = verify.run_lemma_suite(ns.bound, n_cap=ns.n_cap, sample_seed=ns.seed)
     total_failures = sum(len(r.failures) for r in results)
@@ -352,6 +369,7 @@ def _cmd_verify_lemmas(ns, cache):
 
 
 def _cmd_verify_range(ns, cache):
+    from . import verify
     params = {"from": str(ns.lo), "to": str(ns.hi), "jobs": ns.jobs,
               "max_steps": ns.max_steps}
     report = verify.verify_conjecture_range(ns.lo, ns.hi, max_steps=ns.max_steps,
@@ -409,6 +427,7 @@ def _resolve_cache(ns) -> OrbitCache | None:
     path = ns.cache or os.environ.get("COLLATZ_CACHE")
     if not path:
         return None
+    from .cache import OrbitCache
     cache = OrbitCache(path)
     if cache.created and not ns.quiet:
         print(f"collatzq: created new cache file at {path}", file=sys.stderr)

@@ -25,18 +25,20 @@ reported loudly in the output record, never folded into other outcomes.
 from __future__ import annotations
 
 import functools
+import os
 import random
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import core, quotient
-from .cache import OrbitCache
 from .core import u0_range
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .cache import OrbitCache
 
 __all__ = [
     "LemmaCheckResult",
@@ -579,6 +581,17 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 
+def _prefix_bytes(hi: int) -> int:
+    # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
+    # third integer, plus 12 bytes of chunk arrays (segment length and drop
+    # target) per element.
+    return 8 * (hi // 3 + 1) + 12 * _u0_count(1, hi)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _chunk_spans(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     span = hi - lo + 1
     n_chunks = min(max(1, workers * 4), max(1, span // 10_000 + 1))
@@ -618,6 +631,10 @@ def verify_conjecture_range(
     alone, so statistics are segment-local and the cache is left untouched;
     the residue classes mod 2**16 that provably drop at a fixed step are
     then settled per class instead of per element, with the same report.
+
+    A sweep from 1 keeps per-element arrays; one that would need more than
+    the machine's physical memory raises ResourceLimitError before any
+    element is iterated.
     """
     if lo < 1:
         raise DomainError(f"lo must be >= 1, got {lo}")
@@ -627,6 +644,14 @@ def verify_conjecture_range(
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    if lo == 1:
+        need, have = _prefix_bytes(hi), _physical_memory()
+        if need > have:
+            raise ResourceLimitError(
+                f"a sweep of [1, {hi}] needs about {need} bytes of per-element arrays, "
+                f"more than the {have} bytes of physical memory; sweep a shorter "
+                f"prefix and continue above it with lo > 1"
+            )
 
     if lo == 1 and cache is not None:
         return _sweep_with_cache(hi, max_steps, cache)
@@ -640,6 +665,7 @@ def verify_conjecture_range(
     if workers == 1 or len(args) == 1:
         chunks = [kernel(a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(kernel, args))
     if lo == 1:

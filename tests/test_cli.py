@@ -200,6 +200,17 @@ class TestExitCodes:
         assert code == 2
         assert "search_cap" in err
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_resource_error_oversized_prefix_sweep(self, capsys, tmp_path, cached):
+        argv = ["verify", "range", "--from", "1", "--to", str(10**15), "--jobs", "2"]
+        if cached:
+            argv += ["--cache", str(tmp_path / "c.jsonl"), "--quiet"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("collatzq: error: a sweep of [1, 1000000000000000] needs")
+        assert "physical memory" in err
+
     def test_finding_truncated_range(self, capsys):
         code, env, _ = run_json(
             capsys, "verify", "range", "--from", "1", "--to", "100", "--max-steps", "10"
@@ -219,7 +230,7 @@ class TestExitCodes:
                 )
             ]
 
-        monkeypatch.setattr(cli_mod.verify, "run_lemma_suite", fake_suite)
+        monkeypatch.setattr("collatzq.verify.run_lemma_suite", fake_suite)
         code, env, _ = run_json(capsys, "verify", "lemmas", "--bound", "100")
         assert code == 3
         assert env["result"]["all_passed"] is False
@@ -235,7 +246,7 @@ class TestExitCodes:
                 tau_nu2_histogram={"1": 0, "2": 0, "3": 0, "4": 0, "other": 1},
             )
 
-        monkeypatch.setattr(cli_mod.bookkeeping, "sufficient_set_check", fake_check)
+        monkeypatch.setattr("collatzq.bookkeeping.sufficient_set_check", fake_check)
         code, env, _ = run_json(capsys, "suffset", "--bound", "100")
         assert code == 3
         assert env["result"]["violations"] == ["85"]

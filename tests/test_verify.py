@@ -9,6 +9,7 @@ from collatzq import (
     DomainError,
     OrbitCache,
     RangeVerificationReport,
+    ResourceLimitError,
     run_lemma_suite,
     u0_range,
     verify_conjecture_range,
@@ -219,6 +220,33 @@ class TestRangeSweepWithCache:
         verify_conjecture_range(5, 100, cache=cache)
         assert (cache.hits, cache.misses) == (0, 0)
         assert len(OrbitCache(tmp_path / "c.jsonl")) == 0
+
+
+class TestPrefixMemoryCap:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_oversized_prefix_refused_before_iterating(self, tmp_path, monkeypatch, cached):
+        def no_iteration(x, max_steps):
+            raise AssertionError(f"iterated {x} before refusing the sweep")
+
+        monkeypatch.setattr(verify_mod, "_segment_outcome", no_iteration)
+        cache = OrbitCache(tmp_path / "c.jsonl") if cached else None
+        with pytest.raises(ResourceLimitError, match="physical memory"):
+            verify_conjecture_range(1, 10**15, workers=2, cache=cache)
+        if cached:
+            assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_cap_counts_the_arrays_a_sweep_holds(self, monkeypatch):
+        hi = 3_000
+        _, _, _, segs, drops, _, _, _ = verify_mod._sweep_chunk((1, hi, 10_000))
+        need = 8 * (hi // 3 + 1) + len(segs) * segs.itemsize + len(drops) * drops.itemsize
+        assert verify_mod._prefix_bytes(hi) == need
+        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need)
+        assert verify_conjecture_range(1, hi).all_reach_one
+        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ResourceLimitError):
+            verify_conjecture_range(1, hi)
+        # Above 1 the sweep keeps no per-element arrays.
+        assert verify_conjecture_range(2, hi).all_reach_one
 
 
 def per_element_report(lo, hi, max_steps):
