@@ -66,50 +66,7 @@ _HOME = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BookkeepingWindow",
-    "CacheEntry",
-    "CacheError",
-    "CHECK_IDS",
-    "ClassWindow",
-    "DeltaSequence",
-    "DomainError",
-    "LemmaCheckResult",
-    "MergeResult",
-    "OrbitCache",
-    "OrbitRecord",
-    "RangeVerificationReport",
-    "ResourceLimitError",
-    "SufficientSetReport",
-    "census_class_of_one",
-    "class_inf",
-    "class_matrices",
-    "class_n",
-    "collatz_step",
-    "connected_class",
-    "delta_inf",
-    "delta_n",
-    "delta_sequence",
-    "is_u0",
-    "iterate",
-    "merge",
-    "nu2",
-    "orbit",
-    "partition_n",
-    "preimages",
-    "row_tail_analysis",
-    "run_lemma_suite",
-    "shift",
-    "strict_inclusion_witness",
-    "sufficient_set_check",
-    "sufficient_set_members",
-    "tau",
-    "tstar_apply",
-    "u0_range",
-    "verify_conjecture_range",
-    "xi",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
 
 
 def __getattr__(name):

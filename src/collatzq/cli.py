@@ -8,11 +8,14 @@ Every invocation emits exactly one output envelope to stdout:
 Serialization convention: values that live in the number space (elements,
 bounds, excursions, minima) are decimal strings, so arbitrary precision
 survives JSON; structural quantities (levels, step counts, sizes, worker
-counts, seeds) are plain integers.
+counts, seeds) are plain integers.  Handlers return plain Python values, and
+the rule is applied once, by ``_encode``, to the keys named in
+``_NUMBER_KEYS``.
 
 Exit status: 0 success; 1 usage error; 2 domain, resource, or cache error;
 3 mathematical finding (a cycle, a lemma failure, a sufficient-set
-violation, or a range that could not be fully verified).
+violation, or a range that could not be fully verified); 4 internal error
+(a defect in collatzq, reported in one line).
 """
 
 from __future__ import annotations
@@ -152,11 +155,12 @@ def _build_parser() -> _Parser:
 
 
 # --------------------------------------------------------------------------
-# command handlers: each returns (parameters, result, exit_code)
+# command handlers: each returns (parameters, result, exit_code) as plain
+# Python values; main encodes them (see _NUMBER_KEYS)
 
 def _cmd_orbit(ns, cache):
     from . import core
-    params = {"x": str(ns.x), "max_steps": ns.max_steps, "trace": bool(ns.trace)}
+    params = {"x": ns.x, "max_steps": ns.max_steps, "trace": ns.trace}
     if ns.trace:
         rec = core.orbit(ns.x, max_steps=ns.max_steps, keep_prefix=True)
     else:
@@ -170,14 +174,14 @@ def _cmd_orbit(ns, cache):
             if cache is not None and rec.steps_to_one is not None:
                 cache.store(ns.x, rec.steps_to_one, rec.max_excursion)
     result = {
-        "start": str(rec.start),
+        "start": rec.start,
         "steps_to_one": rec.steps_to_one,
-        "max_excursion": str(rec.max_excursion),
+        "max_excursion": rec.max_excursion,
         "truncated": rec.truncated,
-        "cycle_value": None if rec.cycle_value is None else str(rec.cycle_value),
+        "cycle_value": rec.cycle_value,
     }
     if rec.trajectory_prefix is not None:
-        result["trajectory"] = [str(v) for v in rec.trajectory_prefix]
+        result["trajectory"] = rec.trajectory_prefix
     return params, result, 3 if rec.cycle_value is not None else 0
 
 
@@ -186,7 +190,7 @@ def _cmd_map(ns, cache):
     op, x, k = ns.op, ns.x, ns.k
     if op in ("T", "xi", "tau") and k is not None:
         raise DomainError(f"--k does not apply to op {op}")
-    params = {"x": str(x), "op": op}
+    params = {"x": x, "op": op}
     if op == "T":
         value = core.collatz_step(x)
     elif op == "xi":
@@ -201,134 +205,112 @@ def _cmd_map(ns, cache):
         k = 1 if k is None else k
         params["k"] = k
         value = core.iterate(x, k)
-    return params, {"input": str(x), "op": op, "value": str(value)}, 0
+    return params, {"input": x, "op": op, "value": value}, 0
 
 
 def _cmd_preimage(ns, cache):
     from . import core
-    params = {"y": str(ns.y), "bound": str(ns.bound), "u0_only": bool(ns.u0_only)}
+    params = {"y": ns.y, "bound": ns.bound, "u0_only": ns.u0_only}
     pres = core.preimages(ns.y, ns.bound, u0_only=ns.u0_only)
-    return params, {"preimages": [str(z) for z in pres], "count": len(pres)}, 0
+    return params, {"preimages": pres, "count": len(pres)}, 0
 
 
 def _cmd_class(ns, cache):
     from . import quotient
-    params = {"x": str(ns.x), "n": ns.n, "bound": str(ns.bound), "method": ns.method}
+    params = {"x": ns.x, "n": ns.n, "bound": ns.bound, "method": ns.method}
     win = quotient.class_n(ns.x, ns.n, ns.bound, method=ns.method)
-    result = {
-        "base": str(win.base),
-        "level": win.level,
-        "bound": str(win.bound),
-        "members": [str(z) for z in win.members],
-        "count": len(win.members),
-    }
+    result = {"base": win.base, "level": win.level, "bound": win.bound,
+              "members": win.members, "count": len(win.members)}
     return params, result, 0
 
 
 def _cmd_class_inf(ns, cache):
     from . import quotient
-    params = {"x": str(ns.x), "bound": str(ns.bound), "cap": ns.cap}
+    params = {"x": ns.x, "bound": ns.bound, "cap": ns.cap}
     win = quotient.class_inf(ns.x, ns.bound, ns.cap)
-    result = {
-        "base": str(win.base),
-        "bound": str(win.bound),
-        "members": [str(z) for z in win.members],
-        "count": len(win.members),
-        "exact_within_bound": win.exact_within_bound,
-    }
+    result = {"base": win.base, "bound": win.bound, "members": win.members,
+              "count": len(win.members), "exact_within_bound": win.exact_within_bound}
     return params, result, 0
 
 
 def _cmd_delta(ns, cache):
     from . import quotient
     if ns.sequence:
-        params = {"x": str(ns.x), "sequence": True, "max_n": ns.max_n}
+        params = {"x": ns.x, "sequence": True, "max_n": ns.max_n}
         seq = quotient.delta_sequence(ns.x, ns.max_n)
-        result = {
-            "values": [str(v) for v in seq.values],
-            "stabilization_index": seq.stabilization_index,
-        }
+        result = {"values": seq.values, "stabilization_index": seq.stabilization_index}
         return params, result, 0
     n = 1 if ns.n is None else ns.n
-    params = {"x": str(ns.x), "n": n}
-    return params, {"value": str(quotient.delta_n(ns.x, n))}, 0
+    return {"x": ns.x, "n": n}, {"value": quotient.delta_n(ns.x, n)}, 0
 
 
 def _cmd_merge(ns, cache):
     from . import quotient
-    params = {"x": str(ns.x), "z": str(ns.z), "cap": ns.cap}
+    params = {"x": ns.x, "z": ns.z, "cap": ns.cap}
     res = quotient.merge(ns.x, ns.z, ns.cap)
     return params, {"merge_time": res.merge_time, "decided": res.merge_time is not None}, 0
 
 
 def _cmd_tstar(ns, cache):
     from . import quotient
-    params = {"x": str(ns.x), "cap": ns.cap}
-    return params, {"value": str(quotient.tstar_apply(ns.x, ns.cap))}, 0
+    return {"x": ns.x, "cap": ns.cap}, {"value": quotient.tstar_apply(ns.x, ns.cap)}, 0
 
 
 def _cmd_partition(ns, cache):
     from . import quotient
-    params = {"bound": str(ns.bound), "n": ns.n}
     cells = quotient.partition_n(ns.bound, ns.n)
     result = {
         "cell_count": len(cells),
-        "cells": [
-            {"base": str(c.base), "size": len(c.members),
-             "members": [str(z) for z in c.members]}
-            for c in cells
-        ],
+        "cells": [{"base": c.base, "size": len(c.members), "members": c.members}
+                  for c in cells],
     }
-    return params, result, 0
+    return {"bound": ns.bound, "n": ns.n}, result, 0
 
 
 def _cmd_witness(ns, cache):
     from . import quotient
-    params = {"x": str(ns.x), "n": ns.n, "search_cap": str(ns.search_cap)}
+    params = {"x": ns.x, "n": ns.n, "search_cap": ns.search_cap}
     z = quotient.strict_inclusion_witness(ns.x, ns.n, search_cap=ns.search_cap)
-    return params, {"witness": str(z)}, 0
+    return params, {"witness": z}, 0
 
 
 def _cmd_matrix(ns, cache):
     from . import bookkeeping
-    params = {"x": str(ns.x), "k_min": ns.k_min, "k_max": ns.k_max,
-              "n_max": ns.n_max, "bound": str(ns.bound)}
+    params = {"x": ns.x, "k_min": ns.k_min, "k_max": ns.k_max,
+              "n_max": ns.n_max, "bound": ns.bound}
     window = bookkeeping.class_matrices(ns.x, k_min=ns.k_min, k_max=ns.k_max,
                                         n_max=ns.n_max, bound=ns.bound)
     tails = bookkeeping.row_tail_analysis(window)
-    rows = []
-    for k in range(ns.k_min, ns.k_max + 1):
-        stab, tail_value = tails[k]
-        rows.append({
+    levels = range(ns.n_max + 1)
+    rows = [
+        {
             "k": k,
-            "minima": [str(window.minima[(k, n)]) for n in range(ns.n_max + 1)],
-            "cell_sizes": [len(window.class_cells[(k, n)].members)
-                           for n in range(ns.n_max + 1)],
-            "stabilizes_at": stab,
-            "tail_value": str(tail_value),
-        })
-    result = {"rows": rows, "delta_star_window": str(window.delta_star_window)}
-    return params, result, 0
+            "minima": [window.minima[(k, n)] for n in levels],
+            "cell_sizes": [len(window.class_cells[(k, n)].members) for n in levels],
+            "stabilizes_at": tails[k][0],
+            "tail_value": tails[k][1],
+        }
+        for k in range(ns.k_min, ns.k_max + 1)
+    ]
+    return params, {"rows": rows, "delta_star_window": window.delta_star_window}, 0
 
 
 def _cmd_census(ns, cache):
     from . import bookkeeping
-    params = {"n_max": ns.n_max, "bound": str(ns.bound)}
     counts = bookkeeping.census_class_of_one(ns.n_max, ns.bound)
     result = {"counts": [{"level": n, "count": c} for n, c in counts]}
-    return params, result, 0
+    return {"n_max": ns.n_max, "bound": ns.bound}, result, 0
 
 
 def _cmd_suffset(ns, cache):
     from . import bookkeeping
+    params = {"bound": ns.bound, "members": ns.members}
     if ns.members:
-        params = {"bound": str(ns.bound), "members": True}
         members = bookkeeping.sufficient_set_members(ns.bound)
-        return params, {"members": [str(z) for z in members], "count": len(members)}, 0
-    params = {"bound": str(ns.bound), "members": False}
+        return params, {"members": members, "count": len(members)}, 0
     report = bookkeeping.sufficient_set_check(ns.bound)
     result = {
-        "violations": [str(z) for z in report.violations],
+        "violations": report.violations,
         "violation_count": len(report.violations),
         "tau_nu2_histogram": report.tau_nu2_histogram,
     }
@@ -337,68 +319,66 @@ def _cmd_suffset(ns, cache):
 
 def _cmd_appendix_class(ns, cache):
     from . import bookkeeping
-    params = {"x": str(ns.x), "bound": str(ns.bound), "k_range": ns.k_range, "cap": ns.cap}
+    params = {"x": ns.x, "bound": ns.bound, "k_range": ns.k_range, "cap": ns.cap}
     win = bookkeeping.connected_class(ns.x, ns.bound, ns.k_range, ns.cap)
-    result = {
-        "base": str(win.base),
-        "members": [str(z) for z in win.members],
-        "count": len(win.members),
-        "exact_within_bound": win.exact_within_bound,
-    }
+    result = {"base": win.base, "members": win.members, "count": len(win.members),
+              "exact_within_bound": win.exact_within_bound}
     return params, result, 0
 
 
 def _cmd_verify_lemmas(ns, cache):
     from . import verify
-    params = {"bound": str(ns.bound), "n_cap": ns.n_cap, "seed": ns.seed}
+    params = {"bound": ns.bound, "n_cap": ns.n_cap, "seed": ns.seed}
     results = verify.run_lemma_suite(ns.bound, n_cap=ns.n_cap, sample_seed=ns.seed)
-    total_failures = sum(len(r.failures) for r in results)
-    checks = []
-    for r in results:
-        checks.append({
+    checks = [
+        {
             "check_id": r.check_id,
             "range": r.range_description,
             "instances": r.instances_tested,
             "failure_count": len(r.failures),
-            "failures": [_stringify(f) for f in r.failures[:_FAILURE_SAMPLE_LIMIT]],
+            "failures": r.failures[:_FAILURE_SAMPLE_LIMIT],
             "elapsed": round(r.elapsed, 6),
-        })
-    result = {"checks": checks, "all_passed": total_failures == 0,
+        }
+        for r in results
+    ]
+    passed = not any(r.failures for r in results)
+    result = {"checks": checks, "all_passed": passed,
               "total_instances": sum(r.instances_tested for r in results)}
-    return params, result, 3 if total_failures else 0
+    return params, result, 0 if passed else 3
 
 
 def _cmd_verify_range(ns, cache):
+    from dataclasses import asdict
+
     from . import verify
-    params = {"from": str(ns.lo), "to": str(ns.hi), "jobs": ns.jobs,
-              "max_steps": ns.max_steps}
+    params = {"from": ns.lo, "to": ns.hi, "jobs": ns.jobs, "max_steps": ns.max_steps}
     report = verify.verify_conjecture_range(ns.lo, ns.hi, max_steps=ns.max_steps,
                                             workers=ns.jobs, cache=cache)
-    result = {
-        "lo": str(report.lo),
-        "hi": str(report.hi),
-        "elements_checked": report.elements_checked,
-        "all_reach_one": report.all_reach_one,
-        "max_steps_observed": report.max_steps_observed,
-        "max_excursion_observed": str(report.max_excursion_observed),
-        "cycles_found": [str(z) for z in report.cycles_found],
-        "truncated_elements": [str(z) for z in report.truncated_elements],
-    }
-    return params, result, 0 if report.all_reach_one else 3
+    return params, asdict(report), 0 if report.all_reach_one else 3
 
 
-def _stringify(obj):
-    # Replayable failure payloads: every integer becomes a decimal string
-    # (bools stay bools), containers recurse.
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    return obj
+# The number-space rule, in one place: under these keys, at any depth, every
+# int (not bool) is emitted as a decimal string, so arbitrary precision
+# survives JSON.  Every other int is a structural quantity and stays an int.
+_NUMBER_KEYS = frozenset({
+    "x", "y", "z", "bound", "search_cap", "from", "to", "lo", "hi",
+    "start", "max_excursion", "cycle_value", "trajectory", "input", "value",
+    "values", "preimages", "base", "members", "witness", "minima", "tail_value",
+    "delta_star_window", "violations", "failures", "max_excursion_observed",
+    "cycles_found", "truncated_elements",
+})
+
+
+def _encode(value, number=False):
+    if isinstance(value, dict):
+        return {k: _encode(v, number or k in _NUMBER_KEYS) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        if number and all(type(v) is int for v in value):
+            return list(map(str, value))
+        return [_encode(v, number) for v in value]
+    if number and isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
 _HANDLERS = {
@@ -475,31 +455,28 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
 
     command = ns.command if ns.command != "verify" else f"verify {ns.verify_mode}"
-    cache = None
     try:
-        if command in _CACHED_COMMANDS:
-            cache = _resolve_cache(ns)
-    except CacheError as exc:
-        print(f"collatzq: cache error: {exc}", file=sys.stderr)
-        return 2
-
-    start = time.perf_counter()
-    try:
+        cache = _resolve_cache(ns) if command in _CACHED_COMMANDS else None
+        start = time.perf_counter()
         params, result, code = _HANDLERS[command](ns, cache)
+        env = {
+            "command": command,
+            "parameters": _encode(params),
+            "result": _encode(result),
+            "timing": round(time.perf_counter() - start, 6),
+        }
+        if cache is not None:
+            env["cache_stats"] = {"hits": cache.hits, "misses": cache.misses}
+        text = _emit_csv(env) if ns.csv else _emit_json(env)
     except (DomainError, ResourceLimitError) as exc:
         print(f"collatzq: error: {exc}", file=sys.stderr)
         return 2
     except CacheError as exc:
         print(f"collatzq: cache error: {exc}", file=sys.stderr)
         return 2
-
-    env = {
-        "command": command,
-        "parameters": params,
-        "result": result,
-        "timing": round(time.perf_counter() - start, 6),
-    }
-    if cache is not None:
-        env["cache_stats"] = {"hits": cache.hits, "misses": cache.misses}
-    sys.stdout.write(_emit_csv(env) if ns.csv else _emit_json(env))
+    except Exception as exc:
+        # A defect, not a usage error: one line and an exit code of its own.
+        print(f"collatzq: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    sys.stdout.write(text)
     return code

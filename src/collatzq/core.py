@@ -92,15 +92,20 @@ def _step(v: int) -> int:
     return t >> ((t & -t).bit_length() - 1)
 
 
+def _iterate(v: int, n: int) -> int:
+    # n unvalidated accelerated steps. Callers guarantee odd v >= 1.
+    for _ in range(n):
+        v = _step(v)
+    return v
+
+
 def collatz_step(x: int) -> int:
     """One accelerated step: 3x+1 with every factor of 2 divided out.
 
     Defined on odd positive x.  The result is odd, positive, and never
     divisible by 3 (3x+1 is not a multiple of 3, and halving preserves that).
     """
-    _require_odd(x)
-    t = 3 * x + 1
-    return t >> ((t & -t).bit_length() - 1)
+    return _step(_require_odd(x))
 
 
 def shift(x: int, k: int = 1) -> int:
@@ -153,10 +158,7 @@ def iterate(x: int, k: int) -> int:
     """
     _require_u0(x)
     if k >= 0:
-        for _ in range(k):
-            t = 3 * x + 1
-            x = t >> ((t & -t).bit_length() - 1)
-        return x
+        return _iterate(x, k)
     for _ in range(-k):
         x = tau(x)
     return x

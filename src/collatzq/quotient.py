@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _require_u0, _step, tau, u0_range
+from .core import _iterate, _require_u0, _step, tau, u0_range
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -140,10 +140,7 @@ def _class_scan(x: int, n: int, bound: int) -> list[int]:
 
 
 def _class_bfs(x: int, n: int, bound: int) -> list[int]:
-    v = x
-    for _ in range(n):
-        v = _step(v)
-    level = [v]
+    level = [_iterate(x, n)]
     for depth in range(n):
         r = n - depth - 1  # backward levels remaining below the children
         limit = 3**r * (bound + 1)
@@ -304,10 +301,7 @@ def partition_n(bound: int, n: int) -> list[ClassWindow]:
         raise DomainError(f"level must be >= 0, got {n}")
     groups: dict[int, list[int]] = {}
     for z in u0_range(1, bound):
-        v = z
-        for _ in range(n):
-            v = _step(v)
-        groups.setdefault(v, []).append(z)
+        groups.setdefault(_iterate(z, n), []).append(z)
     cells = sorted(groups.values(), key=lambda ms: ms[0])
     return [
         ClassWindow(base=ms[0], level=n, bound=bound, members=ms)
@@ -331,10 +325,7 @@ def strict_inclusion_witness(x: int, n: int, search_cap: int = 10**6) -> int:
         raise DomainError(f"level must be >= 0, got {n}")
     if search_cap < 1:
         raise DomainError(f"search_cap must be >= 1, got {search_cap}")
-    y = x
-    for _ in range(n):
-        y = _step(y)
-    target = 4 * y + 1
+    target = 4 * _iterate(x, n) + 1
     if target % 3 == 0:
         target = 4 * target + 1
     z = target

@@ -666,7 +666,10 @@ def verify_conjecture_range(
         chunks = [kernel(a) for a in args]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork pool starts all its workers at the first submit, so never ask
+        # for more than there are chunks or cores; the report is the same.
+        procs = min(workers, len(args), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(kernel, args))
     if lo == 1:
         totals_max = _derive_totals(hi, chunks)

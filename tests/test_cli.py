@@ -251,6 +251,16 @@ class TestExitCodes:
         assert code == 3
         assert env["result"]["violations"] == ["85"]
 
+    def test_internal_error_exits_four_in_one_line(self, capsys, monkeypatch):
+        def broken_merge(x, z, cap):
+            raise RuntimeError("merge state lost")
+
+        monkeypatch.setattr("collatzq.quotient.merge", broken_merge)
+        code, out, err = run_cli(capsys, "merge", "7", "17")
+        assert code == 4
+        assert out == ""
+        assert err == "collatzq: internal error: RuntimeError: merge state lost\n"
+
     def test_corrupt_cache_exits_two_naming_line(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

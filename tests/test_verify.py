@@ -249,6 +249,46 @@ class TestPrefixMemoryCap:
         assert verify_conjecture_range(2, hi).all_reach_one
 
 
+
+class TestWorkerClamp:
+    """A pool never starts more processes than there are chunks or cores."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    @pytest.mark.parametrize("lo, hi", [(1, 40_000), (10**12, 10**12 + 100_000)])
+    @pytest.mark.parametrize("cores, workers, started", [
+        (2, 5_000, 2),     # clamped to the cores
+        (64, 5_000, None),  # clamped to the chunks
+        (None, 8, 1),      # cpu_count() unknown: one process
+        (4, 3, 3),         # asked for fewer than both
+    ])
+    def test_processes_started(self, pool_sizes, monkeypatch, lo, hi, cores, workers, started):
+        chunks = len(verify_mod._chunk_spans(lo, hi, workers))
+        assert chunks > 1
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        report = verify_conjecture_range(lo, hi, workers=workers)
+        assert report == verify_conjecture_range(lo, hi, workers=1)
+        assert pool_sizes == [chunks if started is None else started]  # one pool
+
+
 def per_element_report(lo, hi, max_steps):
     """The report of [lo, hi], lo > 1, aggregated from _segment_outcome on every element."""
     steps = exc = count = 0
