@@ -377,7 +377,7 @@ def _encode(value, number=False):
         return {k: _encode(v, number or k in _NUMBER_KEYS) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         if number and all(type(v) is int for v in value):
-            return list(map(str, value))
+            return [str(v) for v in value]
         return [_encode(v, number) for v in value]
     if number and isinstance(value, int) and not isinstance(value, bool):
         return str(value)
