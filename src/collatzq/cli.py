@@ -219,8 +219,13 @@ def _cmd_class(ns, cache):
     from . import quotient
     params = {"x": ns.x, "n": ns.n, "bound": ns.bound, "method": ns.method}
     win = quotient.class_n(ns.x, ns.n, ns.bound, method=ns.method)
-    result = {"base": win.base, "level": win.level, "bound": win.bound,
-              "members": win.members, "count": len(win.members)}
+    result = {
+        "base": win.base,
+        "level": win.level,
+        "bound": win.bound,
+        "members": win.members,
+        "count": len(win.members),
+    }
     return params, result, 0
 
 
@@ -228,8 +233,13 @@ def _cmd_class_inf(ns, cache):
     from . import quotient
     params = {"x": ns.x, "bound": ns.bound, "cap": ns.cap}
     win = quotient.class_inf(ns.x, ns.bound, ns.cap)
-    result = {"base": win.base, "bound": win.bound, "members": win.members,
-              "count": len(win.members), "exact_within_bound": win.exact_within_bound}
+    result = {
+        "base": win.base,
+        "bound": win.bound,
+        "members": win.members,
+        "count": len(win.members),
+        "exact_within_bound": win.exact_within_bound,
+    }
     return params, result, 0
 
 
@@ -238,10 +248,14 @@ def _cmd_delta(ns, cache):
     if ns.sequence:
         params = {"x": ns.x, "sequence": True, "max_n": ns.max_n}
         seq = quotient.delta_sequence(ns.x, ns.max_n)
-        result = {"values": seq.values, "stabilization_index": seq.stabilization_index}
+        result = {
+            "values": seq.values,
+            "stabilization_index": seq.stabilization_index,
+        }
         return params, result, 0
     n = 1 if ns.n is None else ns.n
-    return {"x": ns.x, "n": n}, {"value": quotient.delta_n(ns.x, n)}, 0
+    params = {"x": ns.x, "n": n}
+    return params, {"value": quotient.delta_n(ns.x, n)}, 0
 
 
 def _cmd_merge(ns, cache):
@@ -253,18 +267,23 @@ def _cmd_merge(ns, cache):
 
 def _cmd_tstar(ns, cache):
     from . import quotient
-    return {"x": ns.x, "cap": ns.cap}, {"value": quotient.tstar_apply(ns.x, ns.cap)}, 0
+    params = {"x": ns.x, "cap": ns.cap}
+    return params, {"value": quotient.tstar_apply(ns.x, ns.cap)}, 0
 
 
 def _cmd_partition(ns, cache):
     from . import quotient
+    params = {"bound": ns.bound, "n": ns.n}
     cells = quotient.partition_n(ns.bound, ns.n)
     result = {
         "cell_count": len(cells),
-        "cells": [{"base": c.base, "size": len(c.members), "members": c.members}
-                  for c in cells],
+        "cells": [
+            {"base": c.base, "size": len(c.members),
+             "members": c.members}
+            for c in cells
+        ],
     }
-    return {"bound": ns.bound, "n": ns.n}, result, 0
+    return params, result, 0
 
 
 def _cmd_witness(ns, cache):
@@ -281,33 +300,36 @@ def _cmd_matrix(ns, cache):
     window = bookkeeping.class_matrices(ns.x, k_min=ns.k_min, k_max=ns.k_max,
                                         n_max=ns.n_max, bound=ns.bound)
     tails = bookkeeping.row_tail_analysis(window)
-    levels = range(ns.n_max + 1)
-    rows = [
-        {
+    rows = []
+    for k in range(ns.k_min, ns.k_max + 1):
+        stab, tail_value = tails[k]
+        rows.append({
             "k": k,
-            "minima": [window.minima[(k, n)] for n in levels],
-            "cell_sizes": [len(window.class_cells[(k, n)].members) for n in levels],
-            "stabilizes_at": tails[k][0],
-            "tail_value": tails[k][1],
-        }
-        for k in range(ns.k_min, ns.k_max + 1)
-    ]
-    return params, {"rows": rows, "delta_star_window": window.delta_star_window}, 0
+            "minima": [window.minima[(k, n)] for n in range(ns.n_max + 1)],
+            "cell_sizes": [len(window.class_cells[(k, n)].members)
+                           for n in range(ns.n_max + 1)],
+            "stabilizes_at": stab,
+            "tail_value": tail_value,
+        })
+    result = {"rows": rows, "delta_star_window": window.delta_star_window}
+    return params, result, 0
 
 
 def _cmd_census(ns, cache):
     from . import bookkeeping
+    params = {"n_max": ns.n_max, "bound": ns.bound}
     counts = bookkeeping.census_class_of_one(ns.n_max, ns.bound)
     result = {"counts": [{"level": n, "count": c} for n, c in counts]}
-    return {"n_max": ns.n_max, "bound": ns.bound}, result, 0
+    return params, result, 0
 
 
 def _cmd_suffset(ns, cache):
     from . import bookkeeping
-    params = {"bound": ns.bound, "members": ns.members}
     if ns.members:
+        params = {"bound": ns.bound, "members": True}
         members = bookkeeping.sufficient_set_members(ns.bound)
         return params, {"members": members, "count": len(members)}, 0
+    params = {"bound": ns.bound, "members": False}
     report = bookkeeping.sufficient_set_check(ns.bound)
     result = {
         "violations": report.violations,
@@ -321,8 +343,12 @@ def _cmd_appendix_class(ns, cache):
     from . import bookkeeping
     params = {"x": ns.x, "bound": ns.bound, "k_range": ns.k_range, "cap": ns.cap}
     win = bookkeeping.connected_class(ns.x, ns.bound, ns.k_range, ns.cap)
-    result = {"base": win.base, "members": win.members, "count": len(win.members),
-              "exact_within_bound": win.exact_within_bound}
+    result = {
+        "base": win.base,
+        "members": win.members,
+        "count": len(win.members),
+        "exact_within_bound": win.exact_within_bound,
+    }
     return params, result, 0
 
 
@@ -330,21 +356,20 @@ def _cmd_verify_lemmas(ns, cache):
     from . import verify
     params = {"bound": ns.bound, "n_cap": ns.n_cap, "seed": ns.seed}
     results = verify.run_lemma_suite(ns.bound, n_cap=ns.n_cap, sample_seed=ns.seed)
-    checks = [
-        {
+    total_failures = sum(len(r.failures) for r in results)
+    checks = []
+    for r in results:
+        checks.append({
             "check_id": r.check_id,
             "range": r.range_description,
             "instances": r.instances_tested,
             "failure_count": len(r.failures),
             "failures": r.failures[:_FAILURE_SAMPLE_LIMIT],
             "elapsed": round(r.elapsed, 6),
-        }
-        for r in results
-    ]
-    passed = not any(r.failures for r in results)
-    result = {"checks": checks, "all_passed": passed,
+        })
+    result = {"checks": checks, "all_passed": total_failures == 0,
               "total_instances": sum(r.instances_tested for r in results)}
-    return params, result, 0 if passed else 3
+    return params, result, 3 if total_failures else 0
 
 
 def _cmd_verify_range(ns, cache):
@@ -354,7 +379,8 @@ def _cmd_verify_range(ns, cache):
     # verify.py is this command's memory peak, and loading dataclasses (and
     # inspect) first raises that peak by about 0.8 MB.
     from dataclasses import asdict
-    params = {"from": ns.lo, "to": ns.hi, "jobs": ns.jobs, "max_steps": ns.max_steps}
+    params = {"from": ns.lo, "to": ns.hi, "jobs": ns.jobs,
+              "max_steps": ns.max_steps}
     report = verify.verify_conjecture_range(ns.lo, ns.hi, max_steps=ns.max_steps,
                                             workers=ns.jobs, cache=cache)
     return params, asdict(report), 0 if report.all_reach_one else 3
