@@ -14,10 +14,11 @@ except where the floor 1 is reached (from there the value provably stays).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import _require_u0, _step, iterate, nu2, tau, u0_range
-from .errors import DomainError
-from .quotient import ClassWindow, class_inf, class_n, delta_sequence
+from .errors import DomainError, ResourceLimitError
+from .quotient import ClassWindow, _walk, class_inf, class_n, delta_sequence
 
 __all__ = [
     "BookkeepingWindow",
@@ -182,13 +183,26 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
     """Sizes of the class of 1 at levels 0..n_max within [1, bound].
 
     A window element belongs to the level-n class of 1 exactly when its
-    trajectory hits 1 within n steps, so one scan recording first-hit times
-    yields every level's count; counts are nondecreasing in n by nesting.
+    trajectory hits 1 within n steps, so first-hit counts per level yield
+    every level's count; counts are nondecreasing in n by nesting.  The
+    first-hit counts are read off the preimage tree of 1, whose level d
+    holds exactly the elements first hitting 1 at step d; when that walk
+    passes its budget, a forward scan of the window counts them instead.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
+    try:
+        first_hit = [sum(1 for z in level if z <= bound and z % 3)
+                     for level in _walk(1, n_max, bound)]
+    except ResourceLimitError:
+        first_hit = _census_scan(n_max, bound)
+    return list(enumerate(accumulate(first_hit)))
+
+
+def _census_scan(n_max: int, bound: int) -> list[int]:
+    # First-hit counts per level by iterating every window element forward.
     first_hit = [0] * (n_max + 1)
     for z in u0_range(1, bound):
         v = z
@@ -197,9 +211,4 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
                 first_hit[i] += 1
                 break
             v = _step(v)
-    counts: list[tuple[int, int]] = []
-    running = 0
-    for n in range(n_max + 1):
-        running += first_hit[n]
-        counts.append((n, running))
-    return counts
+    return first_hit

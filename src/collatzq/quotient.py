@@ -16,6 +16,7 @@ non-equivalent, it just stops the window from being certified complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import _iterate, _require_u0, _step, tau, u0_range
 from .errors import DomainError, ResourceLimitError
@@ -111,11 +112,9 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
 
     * ``scan``: test every restricted-domain candidate in the window by
       forward iteration (the definitional route).
-    * ``bfs``: walk the preimage tree of the n-th image of x downward,
-      expanding shift chains level by level.  A node v with r levels still
-      to go is pruned when v > (3/2)^r * (bound+1): every backward step at
-      least multiplies by 2/3 up to the additive constant, so no descendant
-      could land inside the window.
+    * ``bfs``: walk the preimage tree of the n-th image of x (see _walk).
+      It has no fallback, so a walk that passes its node budget raises
+      ResourceLimitError; the scan has no such limit.
 
     The scan is the reference; the tree walk is the fast route and is
     cross-checked against the scan in the test suite, never trusted alone.
@@ -128,7 +127,7 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
     if method == "scan":
         members = _class_scan(x, n, bound)
     elif method == "bfs":
-        members = _class_bfs(x, n, bound)
+        members = sorted(_walk_class(_iterate(x, n), n, bound, _BFS_FLOOR))
     else:
         raise DomainError(f"unknown method {method!r}, expected 'scan' or 'bfs'")
     return ClassWindow(base=x, level=n, bound=bound, members=members)
@@ -139,45 +138,103 @@ def _class_scan(x: int, n: int, bound: int) -> list[int]:
     return [z for z in u0_range(1, bound) if _level_equal(z, targets, n)]
 
 
-def _class_bfs(x: int, n: int, bound: int) -> list[int]:
-    level = [_iterate(x, n)]
+# Nodes a bfs walk may append beyond the forward scan's cost, so that small
+# windows never exhaust it.  Census and delta fall back to the scan instead,
+# so they get no floor.
+_BFS_FLOOR = 1 << 16
+
+
+def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
+    """Yield levels 0..n of the preimage tree of root, pruned to [1, bound].
+
+    Level d holds the z with T^d(z) == root, except that 1's self-loop is
+    skipped: below 1, level d holds the z whose orbit first reaches 1 at
+    step d.  Each level is built by expanding the shift chain of every
+    node of the level above.  A preimage z of v has z + 1 >= 2(v + 1)/3, so
+    a node with r levels to go is pruned when z * 2^r > 3^r * (bound + 1):
+    none of its descendants could fall in the window.  Nodes above the
+    bound and multiples of 3 stay in their level; callers filter them.
+
+    The budget follows the forward scan's cost, the window's candidates
+    times n levels, plus floor.  The walk appends at most that many nodes,
+    and no level holds more nodes than the window has candidates plus
+    floor, so memory stays near that of a class list.  Past either limit
+    it raises ResourceLimitError.
+    """
+    window = bound // 3 + 1
+    budget, widest = window * n + floor, window + floor
+    left = budget
+    level = [root]
+    yield level
     for depth in range(n):
         r = n - depth - 1  # backward levels remaining below the children
         limit = 3**r * (bound + 1)
         p2 = 1 << r
+        room = min(left, widest)
         nxt: list[int] = []
         for v in level:
             if v % 3 == 0:
                 continue  # multiples of 3 have no preimage
             z = (4 * v - 1) // 3 if v % 3 == 1 else (2 * v - 1) // 3
+            if z == v:
+                z = 5  # 1 is its own smallest preimage
             while z * p2 <= limit:
                 nxt.append(z)
                 z = 4 * z + 1
+            if len(nxt) > room:
+                raise ResourceLimitError(
+                    f"preimage-tree walk of level {n} within [1, {bound}] passed its "
+                    f"budget of {budget} nodes, at most {widest} per level; "
+                    f"method 'scan' computes the same class"
+                )
+        left -= len(nxt)
         level = nxt
-    return sorted(z for z in level if z <= bound and z % 3 != 0)
+        yield level
+
+
+def _walk_class(y: int, n: int, bound: int, floor: int = 0) -> list[int]:
+    # Unsorted members in [1, bound] of the level-n class whose n-th image is
+    # y.  Below 1 the walk skips the self-loop, so the class of 1 is the
+    # union of the walk's levels.
+    members: list[int] = []
+    for depth, level in enumerate(_walk(y, n, bound, floor)):
+        if y == 1 or depth == n:
+            members += [z for z in level if z <= bound and z % 3]
+    return members
+
+
+def _class_min(targets: list[int], n: int, bound: int) -> int:
+    # Smallest member of the level-n class of targets[0], where bound is
+    # known to be a member: from the tree walk, or from the forward scan
+    # when the walk passes its budget.
+    try:
+        return min(_walk_class(targets[n], n, bound))
+    except ResourceLimitError:
+        return _scan_min(targets, n, bound)
+
+
+def _scan_min(targets: list[int], n: int, bound: int) -> int:
+    return next(z for z in u0_range(1, bound) if _level_equal(z, targets, n))
 
 
 def delta_n(x: int, n: int) -> int:
     """Smallest element equivalent to x at level n.
 
-    Exact upward scan: x itself is a member, so the scan terminates at x in
-    the worst case.
+    x itself is a member, so the minimum lies in [1, x]: it is the smallest
+    node of the walk from T^n(x) within that window, or, when the walk
+    passes its budget, the first hit of an upward scan.
     """
     _require_u0(x)
     if n < 0:
         raise DomainError(f"level must be >= 0, got {n}")
-    targets = _trajectory(x, n)
-    for z in u0_range(1, x):
-        if _level_equal(z, targets, n):
-            return z
-    raise AssertionError("unreachable: x is always in its own class")
+    return _class_min(_trajectory(x, n), n, x)
 
 
 def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     """Minimal class elements of x at levels 0..n_max.
 
-    Classes are nested upward, so each level's scan only needs to run up to
-    the previous minimum; the result is still exact.
+    Classes are nested upward, so each level's minimum lies in the window
+    up to the previous minimum, and is found there as in delta_n.
     """
     _require_u0(x)
     if n_max < 0:
@@ -185,13 +242,7 @@ def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     targets = _trajectory(x, n_max)
     values = [x]
     for n in range(1, n_max + 1):
-        prev = values[-1]
-        best = prev
-        for z in u0_range(1, prev):
-            if _level_equal(z, targets, n):
-                best = z
-                break
-        values.append(best)
+        values.append(_class_min(targets, n, values[-1]))
     stab = values.index(1) if 1 in values else None
     return DeltaSequence(base=x, values=values, stabilization_index=stab)
 

@@ -581,11 +581,13 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 
-def _prefix_bytes(hi: int) -> int:
+def _prefix_bytes(hi: int, cached: bool = False) -> int:
     # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
-    # third integer, plus 12 bytes of chunk arrays (segment length and drop
-    # target) per element.
-    return 8 * (hi // 3 + 1) + 12 * _u0_count(1, hi)
+    # third integer, plus per element either 12 bytes of chunk arrays
+    # (segment length and drop target) or, with a cache, about 450 bytes
+    # (tracemalloc peak at hi = 3e5): an excursion int and its list slot, a
+    # new-record tuple, and the cache's dict entry and record line.
+    return 8 * (hi // 3 + 1) + (512 if cached else 12) * _u0_count(1, hi)
 
 
 def _physical_memory() -> int:
@@ -632,9 +634,10 @@ def verify_conjecture_range(
     the residue classes mod 2**16 that provably drop at a fixed step are
     then settled per class instead of per element, with the same report.
 
-    A sweep from 1 keeps per-element arrays; one that would need more than
-    the machine's physical memory raises ResourceLimitError before any
-    element is iterated.
+    A sweep from 1 keeps per-element state, about 20 bytes per element, or
+    about 500 with a cache; one that would need more than the machine's
+    physical memory raises ResourceLimitError before any element is
+    iterated.
     """
     if lo < 1:
         raise DomainError(f"lo must be >= 1, got {lo}")
@@ -645,10 +648,10 @@ def verify_conjecture_range(
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     if lo == 1:
-        need, have = _prefix_bytes(hi), _physical_memory()
+        need, have = _prefix_bytes(hi, cache is not None), _physical_memory()
         if need > have:
             raise ResourceLimitError(
-                f"a sweep of [1, {hi}] needs about {need} bytes of per-element arrays, "
+                f"a sweep of [1, {hi}] needs about {need} bytes of per-element state, "
                 f"more than the {have} bytes of physical memory; sweep a shorter "
                 f"prefix and continue above it with lo > 1"
             )

@@ -200,6 +200,14 @@ class TestExitCodes:
         assert code == 2
         assert "search_cap" in err
 
+    def test_resource_error_class_bfs_over_budget(self, capsys):
+        code, out, err = run_cli(capsys, "class", "7", "--n", "60", "--bound", "100",
+                                 "--method", "bfs")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("collatzq: error: preimage-tree walk of level 60")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("cached", [False, True])
     def test_resource_error_oversized_prefix_sweep(self, capsys, tmp_path, cached):
         argv = ["verify", "range", "--from", "1", "--to", str(10**15), "--jobs", "2"]

@@ -1,6 +1,7 @@
 """Verification engine: lemma suite wiring, range sweep semantics."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -247,6 +248,34 @@ class TestPrefixMemoryCap:
             verify_conjecture_range(1, hi)
         # Above 1 the sweep keeps no per-element arrays.
         assert verify_conjecture_range(2, hi).all_reach_one
+
+    def test_cached_estimate_covers_measured_peak(self, tmp_path):
+        # A cached sweep holds far more per element than the uncached arrays;
+        # its estimate must cover the measured peak without being vacuous.
+        hi = 30_000
+        cache = OrbitCache(tmp_path / "c.jsonl")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verify_conjecture_range(1, hi, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        need = verify_mod._prefix_bytes(hi, cached=True)
+        assert peak <= need <= 2 * peak
+
+    def test_cached_sweep_refused_at_its_own_cost(self, tmp_path, monkeypatch):
+        hi = 3_000
+        need = verify_mod._prefix_bytes(hi, cached=True)
+        assert need > 20 * verify_mod._prefix_bytes(hi)
+        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need - 1)
+        assert verify_conjecture_range(1, hi).all_reach_one
+        cache = OrbitCache(tmp_path / "c.jsonl")
+        with pytest.raises(ResourceLimitError, match="physical memory"):
+            verify_conjecture_range(1, hi, cache=cache)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need)
+        assert verify_conjecture_range(1, hi, cache=cache).all_reach_one
 
 
 
