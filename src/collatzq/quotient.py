@@ -206,7 +206,10 @@ def _walk_class(y: int, n: int, bound: int, floor: int = 0) -> list[int]:
 def _class_min(targets: list[int], n: int, bound: int) -> int:
     # Smallest member of the level-n class of targets[0], where bound is
     # known to be a member: from the tree walk, or from the forward scan
-    # when the walk passes its budget.
+    # when the walk passes its budget.  1 is a member exactly when the n-th
+    # image is 1, and then the walk would only list the window's class of 1.
+    if targets[n] == 1:
+        return 1
     try:
         return min(_walk_class(targets[n], n, bound))
     except ResourceLimitError:

@@ -107,7 +107,7 @@ class TestBudget:
         # The census and class-bfs ops of the structure benchmark, at their
         # largest level, finish on the walk itself.
         assert len(walk_census(20, 200_000)) == 21
-        assert len(quotient_mod._walk_class(1, 22, 10**6, quotient_mod._BFS_FLOOR)) > 50_000
+        assert len(quotient_mod._walk_class(1, 22, 10**6, quotient_mod._BFS_FLOOR)) == 50_266
 
     def test_class_bfs_over_budget_raises(self):
         # 7 reaches 1 in 5 steps, so this is the class of 1 at level 60: the
