@@ -194,8 +194,7 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     try:
-        first_hit = [sum(1 for z in level if z <= bound and z % 3)
-                     for level in _walk(1, n_max, bound)]
+        first_hit = [len(level) for level in _walk(1, n_max, bound)]
     except ResourceLimitError:
         first_hit = _census_scan(n_max, bound)
     return list(enumerate(accumulate(first_hit)))

@@ -139,21 +139,22 @@ def _class_scan(x: int, n: int, bound: int) -> list[int]:
 
 
 # Nodes a bfs walk may append beyond the forward scan's cost, so that small
-# windows never exhaust it.  Census and delta fall back to the scan instead,
-# so they get no floor.
+# windows never exhaust it.  The census falls back to the scan instead, so
+# it gets no floor.
 _BFS_FLOOR = 1 << 16
 
 
 def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
-    """Yield levels 0..n of the preimage tree of root, pruned to [1, bound].
+    """Yield the restricted-domain nodes in [1, bound] of levels 0..n of the
+    preimage tree of root.
 
     Level d holds the z with T^d(z) == root, except that 1's self-loop is
     skipped: below 1, level d holds the z whose orbit first reaches 1 at
     step d.  Each level is built by expanding the shift chain of every
     node of the level above.  A preimage z of v has z + 1 >= 2(v + 1)/3, so
     a node with r levels to go is pruned when z * 2^r > 3^r * (bound + 1):
-    none of its descendants could fall in the window.  Nodes above the
-    bound and multiples of 3 stay in their level; callers filter them.
+    none of its descendants could fall in the window.  Unpruned nodes above
+    the bound, and multiples of 3, are expanded but not yielded.
 
     The budget follows the forward scan's cost, the window's candidates
     times n levels, plus floor.  The walk appends at most that many nodes,
@@ -165,7 +166,7 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
     budget, widest = window * n + floor, window + floor
     left = budget
     level = [root]
-    yield level
+    yield [z for z in level if z <= bound and z % 3]
     for depth in range(n):
         r = n - depth - 1  # backward levels remaining below the children
         limit = 3**r * (bound + 1)
@@ -189,7 +190,7 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
                 )
         left -= len(nxt)
         level = nxt
-        yield level
+        yield [z for z in level if z <= bound and z % 3]
 
 
 def _walk_class(y: int, n: int, bound: int, floor: int = 0) -> list[int]:
@@ -199,45 +200,31 @@ def _walk_class(y: int, n: int, bound: int, floor: int = 0) -> list[int]:
     members: list[int] = []
     for depth, level in enumerate(_walk(y, n, bound, floor)):
         if y == 1 or depth == n:
-            members += [z for z in level if z <= bound and z % 3]
+            members += level
     return members
-
-
-def _class_min(targets: list[int], n: int, bound: int) -> int:
-    # Smallest member of the level-n class of targets[0], where bound is
-    # known to be a member: from the tree walk, or from the forward scan
-    # when the walk passes its budget.  1 is a member exactly when the n-th
-    # image is 1, and then the walk would only list the window's class of 1.
-    if targets[n] == 1:
-        return 1
-    try:
-        return min(_walk_class(targets[n], n, bound))
-    except ResourceLimitError:
-        return _scan_min(targets, n, bound)
-
-
-def _scan_min(targets: list[int], n: int, bound: int) -> int:
-    return next(z for z in u0_range(1, bound) if _level_equal(z, targets, n))
 
 
 def delta_n(x: int, n: int) -> int:
     """Smallest element equivalent to x at level n.
 
-    x itself is a member, so the minimum lies in [1, x]: it is the smallest
-    node of the walk from T^n(x) within that window, or, when the walk
-    passes its budget, the first hit of an upward scan.
+    Exact upward scan: x itself is a member, so the scan terminates at x in
+    the worst case.
     """
     _require_u0(x)
     if n < 0:
         raise DomainError(f"level must be >= 0, got {n}")
-    return _class_min(_trajectory(x, n), n, x)
+    targets = _trajectory(x, n)
+    for z in u0_range(1, x):
+        if _level_equal(z, targets, n):
+            return z
+    raise AssertionError("unreachable: x is always in its own class")
 
 
 def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     """Minimal class elements of x at levels 0..n_max.
 
-    Classes are nested upward, so each level's minimum lies in the window
-    up to the previous minimum, and is found there as in delta_n.
+    Classes are nested upward, so each level's scan only needs to run up to
+    the previous minimum; the result is still exact.
     """
     _require_u0(x)
     if n_max < 0:
@@ -245,7 +232,13 @@ def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     targets = _trajectory(x, n_max)
     values = [x]
     for n in range(1, n_max + 1):
-        values.append(_class_min(targets, n, values[-1]))
+        prev = values[-1]
+        best = prev
+        for z in u0_range(1, prev):
+            if _level_equal(z, targets, n):
+                best = z
+                break
+        values.append(best)
     stab = values.index(1) if 1 in values else None
     return DeltaSequence(base=x, values=values, stabilization_index=stab)
 

@@ -138,6 +138,37 @@ class TestDelta:
                     z += 2
                 assert delta_n(x, n) == z
 
+    def test_small_minimum_of_a_large_base_is_found_at_once(self, monkeypatch):
+        # x = 31 * 4^k + (4^k - 1)/3 has T(x) = T(31) = 47, so from level 1 on
+        # its minima are 31's.  Finding them tests at most the 11 candidates
+        # up to 31 per level and holds no more than a trajectory, however
+        # wide the preimage tree of T^n(x) within [1, x] is (here a walk of
+        # that tree would hold about 180 KB).
+        import tracemalloc
+
+        from collatzq import quotient as quotient_mod
+
+        x = 31 * 4**7 + (4**7 - 1) // 3
+        want = delta_sequence(31, 20).values[1:]
+        level_equal = quotient_mod._level_equal
+        tested = []
+
+        def counting(z, targets, n):
+            tested.append(z)
+            return level_equal(z, targets, n)
+
+        monkeypatch.setattr(quotient_mod, "_level_equal", counting)
+        tracemalloc.start()
+        try:
+            assert delta_n(x, 20) == want[-1]
+            assert len(tested) <= 11
+            assert delta_sequence(x, 20).values[1:] == want
+            assert len(tested) <= 11 * 21
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_384
+
     def test_minimum_generates_the_same_class(self):
         # the minimum is itself a member, and using it as base changes nothing
         for x in [7, 17, 25, 97]:

@@ -10,13 +10,10 @@ from collatzq import (
     ResourceLimitError,
     census_class_of_one,
     class_n,
-    delta_n,
-    delta_sequence,
     u0_range,
 )
 from collatzq import bookkeeping as bookkeeping_mod
 from collatzq import quotient as quotient_mod
-from collatzq.core import _iterate
 
 small_u0 = st.tuples(st.integers(min_value=0, max_value=350), st.sampled_from([1, 5])).map(
     lambda t: 6 * t[0] + t[1]
@@ -34,10 +31,6 @@ def raw_iter(v, n):
     return v
 
 
-def scan_min(x, n, bound):
-    return quotient_mod._scan_min(quotient_mod._trajectory(x, n), n, bound)
-
-
 def walk_or_none(fn, *args):
     """fn(*args) on the walker alone, or None when the walk passed its budget."""
     try:
@@ -46,13 +39,8 @@ def walk_or_none(fn, *args):
         return None
 
 
-def walk_min(x, n, bound):
-    return min(quotient_mod._walk_class(_iterate(x, n), n, bound))
-
-
 def walk_census(n_max, bound):
-    return [sum(1 for z in level if z <= bound and z % 3)
-            for level in quotient_mod._walk(1, n_max, bound)]
+    return [len(level) for level in quotient_mod._walk(1, n_max, bound)]
 
 
 class TestWalkMatchesScan:
@@ -77,30 +65,6 @@ class TestWalkMatchesScan:
         assert census_class_of_one(n_max, bound) == list(enumerate(accumulate(first_hit)))
         assert walk_or_none(walk_census, n_max, bound) in (None, first_hit)
 
-    @given(small_u0, levels)
-    @example(1, 0)
-    @example(1, 12)
-    @example(5, 0)
-    @example(109, 1)
-    @settings(max_examples=80, deadline=None)
-    def test_delta_n(self, x, n):
-        want = scan_min(x, n, x)
-        assert delta_n(x, n) == want
-        assert walk_or_none(walk_min, x, n, x) in (None, want)
-
-    @given(small_u0, st.integers(min_value=0, max_value=10))
-    @example(1, 0)
-    @example(1, 4)
-    @example(7, 10)
-    @settings(max_examples=60, deadline=None)
-    def test_delta_sequence(self, x, n_max):
-        # Each level's window ends at the previous minimum: bound < x from
-        # the first drop on, and bound == 1 once the minimum is 1.
-        want = [x]
-        for n in range(1, n_max + 1):
-            want.append(scan_min(x, n, want[-1]))
-        assert delta_sequence(x, n_max).values == want
-
 
 class TestBudget:
     def test_benchmark_sizes_stay_within_budget(self):
@@ -123,12 +87,3 @@ class TestBudget:
         want = [(n, sum(1 for z in u0_range(1, bound) if raw_iter(z, n) == 1))
                 for n in range(n_max + 1)]
         assert census_class_of_one(n_max, bound) == want
-
-    def test_delta_over_budget_returns_the_scan_answer(self):
-        x, n = 109, 30
-        with pytest.raises(ResourceLimitError):
-            walk_min(x, n, x)
-        want = next(z for z in u0_range(1, x) if raw_iter(z, n) == raw_iter(x, n))
-        assert want == 55
-        assert delta_n(x, n) == want
-        assert delta_sequence(x, n).values[n] == want
