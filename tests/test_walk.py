@@ -50,6 +50,10 @@ class TestWalkMatchesScan:
     @example(1, 9, 1)
     @example(2_051, 4, 100)  # bound < x
     @example(7, 0, 3)  # the base lies outside the window
+    # 31 + 1 = 2^5, so 31 -> 47 -> 71 -> 107 -> 161 halves once per step and
+    # each node z with r levels to go meets z + 1 = (3/2)^r * (bound + 1):
+    # the member 31 survives only if the prune test keeps that equality.
+    @example(31, 4, 31)
     @settings(max_examples=80, deadline=None)
     def test_class_bfs(self, x, n, bound):
         assert (class_n(x, n, bound, method="bfs").members
