@@ -213,6 +213,8 @@ def delta_n(x: int, n: int) -> int:
     _require_u0(x)
     if n < 0:
         raise DomainError(f"level must be >= 0, got {n}")
+    if n == 0:
+        return x  # the level-0 class is {x}
     targets = _trajectory(x, n)
     for z in u0_range(1, x):
         if _level_equal(z, targets, n):
@@ -297,26 +299,11 @@ def class_inf(x: int, bound: int, cap: int) -> ClassWindow:
         raise DomainError(f"bound must be >= 1, got {bound}")
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    xs = [x]
-    v = x
-    for _ in range(cap):
-        if v == 1:
-            break
-        v = _step(v)
-        xs.append(v)
-    if len(xs) < cap + 1:
-        xs.extend([1] * (cap + 1 - len(xs)))
+    targets = _trajectory(x, cap)  # T(1) = 1, so a trajectory that reaches 1 stays there
     members: list[int] = []
     exact = True
     for z in u0_range(1, bound):
-        v = z
-        merged = False
-        for n in range(cap + 1):
-            if v == xs[n]:
-                merged = True
-                break
-            v = _step(v)
-        if merged:
+        if _level_equal(z, targets, cap):
             members.append(z)
         else:
             exact = False

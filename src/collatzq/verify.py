@@ -16,7 +16,11 @@ Two layers:
   of processing order, so worker count never changes a reported number.
   Above 1 the sweep is sieved mod 2**16: most residue classes provably drop
   at a fixed step (Terras 1976), so only the surviving classes are iterated
-  and every other class is settled once per chunk.
+  and every other class is settled once per chunk.  From 1 the chunks
+  return each element's segment, and one ascending pass composes the
+  segments into exact steps to 1.  A sweep from 1 with an orbit cache runs
+  the same pipeline: it dispatches only the chunks that hold an element
+  the cache lacks, and stores each chunk's new records during that pass.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -30,7 +34,7 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import core, quotient
@@ -457,29 +461,25 @@ def _segment_outcome(x: int, max_steps: int) -> tuple[str, int, int, int]:
     return ("truncated", s, 0, mx)
 
 
-def _sweep_chunk(args: tuple[int, int, int]) -> tuple:
-    lo, hi, max_steps = args
+def _sweep_chunk(args: tuple[int, int, int, bool]) -> tuple:
+    # (segs, drops, chunk_max, peaks) over the elements of [lo, hi]: each
+    # segment's length and drop target (-1 for a cycle, -2 for a
+    # truncation), the largest segment peak and, when asked for, each
+    # segment's peak, from which a cached sweep derives orbit maxima.
+    lo, hi, max_steps, want_peaks = args
     segs = array("i")
     drops = array("q")
+    peaks: list[int] | None = [] if want_peaks else None
     chunk_max = 0
-    cycles: list[int] = []
-    truncated: list[int] = []
-    count = 0
     for x in u0_range(lo, hi):
         kind, s, v, mx = _segment_outcome(x, max_steps)
-        count += 1
         segs.append(s)
-        if kind == "drop":
-            drops.append(v)
-        elif kind == "cycle":
-            drops.append(-1)
-            cycles.append(x)
-        else:
-            drops.append(-2)
-            truncated.append(x)
+        drops.append(v if kind == "drop" else -1 if kind == "cycle" else -2)
         if mx > chunk_max:
             chunk_max = mx
-    return (lo, hi, count, segs, drops, chunk_max, cycles, truncated)
+        if peaks is not None:
+            peaks.append(mx)
+    return (segs, drops, chunk_max, peaks)
 
 
 # Residue sieve for lo > 1 (Terras 1976).  The x whose first s steps halve
@@ -584,10 +584,11 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
 def _prefix_bytes(hi: int, cached: bool = False) -> int:
     # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
     # third integer, plus per element either 12 bytes of chunk arrays
-    # (segment length and drop target) or, with a cache, about 450 bytes
-    # (tracemalloc peak at hi = 3e5): an excursion int and its list slot, a
-    # new-record tuple, and the cache's dict entry and record line.
-    return 8 * (hi // 3 + 1) + (512 if cached else 12) * _u0_count(1, hi)
+    # (segment length and drop target) or, with a cache, up to about 290
+    # bytes (tracemalloc peaks from hi = 3e4 to 2e6): those arrays, a
+    # segment peak int and its list slot, an orbit-maximum slot, a lookup
+    # slot, and the cache's dict entry and record.
+    return 8 * (hi // 3 + 1) + (300 if cached else 12) * _u0_count(1, hi)
 
 
 def _physical_memory() -> int:
@@ -627,15 +628,17 @@ def verify_conjecture_range(
     reported in its own list and forces all_reach_one to False.
 
     When lo == 1 the report's step statistics are exact steps-to-one,
-    composed from the segments in ascending order, and an attached cache is
-    consulted before iterating and extended with every newly computed
-    element.  For lo > 1 exact totals are not derivable from the range
+    composed from the segments in one ascending pass.  An attached cache is
+    consulted once per element before any is iterated: only the chunks that
+    hold a miss are dispatched, an element the cache holds takes its record,
+    and each chunk's newly resolved elements are stored as the pass leaves
+    it.  For lo > 1 exact totals are not derivable from the range
     alone, so statistics are segment-local and the cache is left untouched;
     the residue classes mod 2**16 that provably drop at a fixed step are
     then settled per class instead of per element, with the same report.
 
     A sweep from 1 keeps per-element state, about 20 bytes per element, or
-    about 500 with a cache; one that would need more than the machine's
+    about 300 with a cache; one that would need more than the machine's
     physical memory raises ResourceLimitError before any element is
     iterated.
     """
@@ -656,16 +659,20 @@ def verify_conjecture_range(
                 f"prefix and continue above it with lo > 1"
             )
 
-    if lo == 1 and cache is not None:
-        return _sweep_with_cache(hi, max_steps, cache)
-
+    spans = _chunk_spans(lo, hi, workers)
     if lo == 1:
+        # Each element is looked up once, before dispatch; only the spans
+        # that hold a miss are iterated, so a warm run starts no pool.
+        looked = ([[cache.lookup(x) for x in u0_range(a, b)] for a, b in spans]
+                  if cache is not None else [None] * len(spans))
+        todo = [k for k, entries in enumerate(looked) if entries is None or None in entries]
         kernel = _sweep_chunk
+        args = [(*spans[k], max_steps, cache is not None) for k in todo]
     else:
         kernel = _sieve_chunk
         _sieve_table()  # built before the pool forks, so workers inherit it
-    args = [(a, b, max_steps) for a, b in _chunk_spans(lo, hi, workers)]
-    if workers == 1 or len(args) == 1:
+        args = [(a, b, max_steps) for a, b in spans]
+    if workers == 1 or len(args) <= 1:
         chunks = [kernel(a) for a in args]
     else:
         from concurrent.futures import ProcessPoolExecutor
@@ -675,8 +682,10 @@ def verify_conjecture_range(
         with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(kernel, args))
     if lo == 1:
-        totals_max = _derive_totals(hi, chunks)
-        chunks = [(c[2], totals_max, c[5], c[6], c[7]) for c in chunks]
+        results: list[tuple | None] = [None] * len(spans)
+        for k, chunk in zip(todo, chunks):
+            results[k] = chunk
+        chunks = [_resolve(hi, spans, results, looked, cache)]
 
     checked = steps_max = exc_max = 0
     cycles: list[int] = []
@@ -700,77 +709,65 @@ def verify_conjecture_range(
     )
 
 
-def _derive_totals(hi: int, chunks: list[tuple]) -> int:
-    # totals[x // 3] = exact steps to 1, or -1 where a cycle/truncation
-    # upstream leaves the count undefined.  Chunks arrive ascending, and a
-    # drop target is always a smaller restricted-domain element, so a single
-    # ascending pass resolves every element.
+def _resolve(hi: int, spans: list[tuple[int, int]], results: list, looked: list,
+             cache: OrbitCache | None) -> tuple:
+    # (count, steps_max, exc_max, cycles, truncated) of [1, hi] from one
+    # ascending pass.  totals[x // 3] is x's exact steps to 1, or -1 where a
+    # cycle or truncation upstream leaves it undefined; a drop target is a
+    # smaller restricted-domain element, so it is resolved before x.  With a
+    # cache, maxima[x // 3] is x's orbit maximum, an element the cache holds
+    # takes its record, and each span's new records are stored as the pass
+    # leaves it.
     totals = array("q", b"\xff" * 8 * (hi // 3 + 1))
-    steps_max = 0
-    for (c_lo, c_hi, _, segs, drops, _, _, _) in chunks:
-        for x, s, d in zip(u0_range(c_lo, c_hi), segs, drops):
-            if d == 0:
-                total = s
-            elif d > 0:
-                upstream = totals[d // 3]
-                total = s + upstream if upstream >= 0 else -1
-            else:
-                total = -1
-            totals[x // 3] = total
-            if total > steps_max:
-                steps_max = total
-    return steps_max
-
-
-def _sweep_with_cache(hi: int, max_steps: int, cache: OrbitCache) -> RangeVerificationReport:
-    # Sequential ascending sweep over [1, hi] with exact per-element totals,
-    # consulting the cache before iterating and batching new records at the
-    # end.  Results are identical to the parallel path on a consistent cache.
-    size = hi // 3 + 1
-    steps_totals = array("q", b"\xff" * 8 * size)
-    exc_totals: list[int] = [0] * size
-    new_records: list[tuple[int, int, int]] = []
-    checked = 0
-    steps_max = 0
-    exc_max = 0
+    maxima = [0] * len(totals) if cache is not None else []
+    steps_max = exc_max = 0
     cycles: list[int] = []
     truncated: list[int] = []
-    for x in u0_range(1, hi):
-        checked += 1
-        idx = x // 3
-        entry = cache.lookup(x)
-        if entry is not None:
-            steps_totals[idx] = entry.steps
-            exc_totals[idx] = entry.max_excursion
-        else:
-            kind, s, v, mx = _segment_outcome(x, max_steps)
-            if kind == "cycle":
-                cycles.append(x)
-            elif kind == "truncated":
-                truncated.append(x)
+    for (a, b), result, entries in zip(spans, results, looked):
+        if entries is None:
+            segs, drops, chunk_max, _ = result
+            if chunk_max > exc_max:
+                exc_max = chunk_max
+            for x, s, d in zip(u0_range(a, b), segs, drops):
+                if d > 0:
+                    up = totals[d // 3]
+                    total = s + up if up >= 0 else -1
+                elif d == 0:
+                    total = s
+                else:
+                    total = -1
+                    (cycles if d == -1 else truncated).append(x)
+                totals[x // 3] = total
+                if total > steps_max:
+                    steps_max = total
+            continue
+        segs, drops, _, peaks = result or (repeat(0),) * 4  # a span of hits
+        new = []
+        for x, e, s, d, p in zip(u0_range(a, b), entries, segs, drops, peaks):
+            if e is not None:
+                total, top = e
+            elif d > 0:
+                up = totals[d // 3]
+                if up >= 0:
+                    total = s + up
+                    top = maxima[d // 3]
+                    if p > top:
+                        top = p
+                    new.append((x, total, top))
+                else:
+                    total, top = -1, p
+            elif d == 0:
+                total, top = s, p
+                new.append((x, total, top))
             else:
-                upstream = steps_totals[v // 3] if v else 0
-                if upstream >= 0:
-                    total = s + upstream
-                    exc = max(mx, exc_totals[v // 3]) if v else mx
-                    steps_totals[idx] = total
-                    exc_totals[idx] = exc
-                    new_records.append((x, total, exc))
-            if mx > exc_max:
-                exc_max = mx
-        if steps_totals[idx] > steps_max:
-            steps_max = steps_totals[idx]
-        if exc_totals[idx] > exc_max:
-            exc_max = exc_totals[idx]
-    if new_records:
-        cache.store_many(new_records)
-    return RangeVerificationReport(
-        lo=1,
-        hi=hi,
-        elements_checked=checked,
-        all_reach_one=not cycles and not truncated,
-        max_steps_observed=steps_max,
-        max_excursion_observed=exc_max,
-        cycles_found=sorted(cycles),
-        truncated_elements=sorted(truncated),
-    )
+                total, top = -1, p
+                (cycles if d == -1 else truncated).append(x)
+            totals[x // 3] = total
+            maxima[x // 3] = top
+            if total > steps_max:
+                steps_max = total
+            if top > exc_max:
+                exc_max = top
+        if new:
+            cache.store_many(new)
+    return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated)

@@ -138,6 +138,17 @@ class TestDelta:
                     z += 2
                 assert delta_n(x, n) == z
 
+    def test_level_zero_is_x_without_a_scan(self, monkeypatch):
+        # The level-0 class is {x}, so no candidate below x is tested.
+        from collatzq import quotient as quotient_mod
+
+        def no_scan(z, targets, n):
+            raise AssertionError(f"tested candidate {z} at level 0")
+
+        monkeypatch.setattr(quotient_mod, "_level_equal", no_scan)
+        assert delta_n(10**12 + 1, 0) == 10**12 + 1
+        assert delta_n(1, 0) == 1
+
     def test_small_minimum_of_a_large_base_is_found_at_once(self, monkeypatch):
         # x = 31 * 4^k + (4^k - 1)/3 has T(x) = T(31) = 47, so from level 1 on
         # its minima are 31's.  Finding them tests at most the 11 candidates

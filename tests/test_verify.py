@@ -1,5 +1,6 @@
 """Verification engine: lemma suite wiring, range sweep semantics."""
 
+import json
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from collatzq import (
     u0_range,
     verify_conjecture_range,
 )
+from collatzq import core
 from collatzq import verify as verify_mod
 
 
@@ -216,6 +218,29 @@ class TestRangeSweepWithCache:
             assert entry is not None
             assert (entry.steps, entry.max_excursion) == (steps, exc)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed, max_steps", [(0, 10), (1, 40), (2, 10_000), (3, 40)])
+    def test_cold_then_longer_and_shorter_warm_runs(self, tmp_path, seed, max_steps, workers):
+        # A cold prefix, then warm prefixes past and short of it: each report
+        # is the uncached one, each element is looked up once, and every
+        # stored record is the exact orbit.
+        rng = random.Random(seed)
+        cold_hi = rng.randint(15_000, 30_000)
+        path = tmp_path / "c.jsonl"
+        for hi in (cold_hi, cold_hi + rng.randint(1, 15_000), rng.randint(1, cold_hi - 1)):
+            cache = OrbitCache(path)
+            report = verify_conjecture_range(1, hi, max_steps=max_steps, workers=workers, cache=cache)
+            assert report == verify_conjecture_range(1, hi, max_steps=max_steps)
+            assert cache.hits + cache.misses == report.elements_checked
+            if hi == cold_hi:
+                assert cache.hits == 0
+                assert report.truncated_elements or max_steps == 10_000
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert records
+        for rec in records:
+            orbit = core.orbit(int(rec["x"]))
+            assert (rec["steps"], int(rec["max"])) == (orbit.steps_to_one, orbit.max_excursion)
+
     def test_cache_ignored_above_one(self, tmp_path):
         cache = OrbitCache(tmp_path / "c.jsonl")
         verify_conjecture_range(5, 100, cache=cache)
@@ -238,7 +263,8 @@ class TestPrefixMemoryCap:
 
     def test_cap_counts_the_arrays_a_sweep_holds(self, monkeypatch):
         hi = 3_000
-        _, _, _, segs, drops, _, _, _ = verify_mod._sweep_chunk((1, hi, 10_000))
+        segs, drops, _, peaks = verify_mod._sweep_chunk((1, hi, 10_000, False))
+        assert peaks is None  # an uncached sweep keeps no per-element peaks
         need = 8 * (hi // 3 + 1) + len(segs) * segs.itemsize + len(drops) * drops.itemsize
         assert verify_mod._prefix_bytes(hi) == need
         monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need)
@@ -267,7 +293,7 @@ class TestPrefixMemoryCap:
     def test_cached_sweep_refused_at_its_own_cost(self, tmp_path, monkeypatch):
         hi = 3_000
         need = verify_mod._prefix_bytes(hi, cached=True)
-        assert need > 20 * verify_mod._prefix_bytes(hi)
+        assert need > 10 * verify_mod._prefix_bytes(hi)
         monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need - 1)
         assert verify_conjecture_range(1, hi).all_reach_one
         cache = OrbitCache(tmp_path / "c.jsonl")
@@ -316,6 +342,17 @@ class TestWorkerClamp:
         report = verify_conjecture_range(lo, hi, workers=workers)
         assert report == verify_conjecture_range(lo, hi, workers=1)
         assert pool_sizes == [chunks if started is None else started]  # one pool
+
+
+    def test_warm_cached_sweep_starts_no_pool(self, pool_sizes, monkeypatch, tmp_path):
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        path = tmp_path / "c.jsonl"
+        cold = verify_conjecture_range(1, 40_000, workers=2, cache=OrbitCache(path))
+        assert pool_sizes == [2]
+        warm_cache = OrbitCache(path)
+        assert verify_conjecture_range(1, 40_000, workers=2, cache=warm_cache) == cold
+        assert warm_cache.misses == 0
+        assert pool_sizes == [2]  # the warm run dispatched nothing
 
 
 def per_element_report(lo, hi, max_steps):
