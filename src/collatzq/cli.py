@@ -454,10 +454,12 @@ def _csv_scalar(value) -> str:
 
 
 def _flatten(value, prefix, rows):
-    if isinstance(value, dict):
+    # An empty list or dict is a row of its own ("[]" or "{}"), so a reader
+    # can tell an empty container from a missing key.
+    if isinstance(value, dict) and value:
         for k, v in value.items():
             _flatten(v, f"{prefix}.{k}" if prefix else str(k), rows)
-    elif isinstance(value, list):
+    elif isinstance(value, list) and value:
         for i, v in enumerate(value):
             _flatten(v, f"{prefix}.{i}", rows)
     else:

@@ -105,6 +105,12 @@ def _level_equal(z: int, targets: list[int], n: int) -> bool:
     return v == targets[n]
 
 
+def _level_min(targets: list[int], n: int, upto: int) -> int:
+    # The smallest element whose n-th image is targets[n], scanning upward
+    # from 1; upto is known to be one, so the scan ends there at the latest.
+    return next((z for z in u0_range(1, upto - 1) if _level_equal(z, targets, n)), upto)
+
+
 def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
     """The level-n class of x intersected with [1, bound], ascending.
 
@@ -215,11 +221,7 @@ def delta_n(x: int, n: int) -> int:
         raise DomainError(f"level must be >= 0, got {n}")
     if n == 0:
         return x  # the level-0 class is {x}
-    targets = _trajectory(x, n)
-    for z in u0_range(1, x):
-        if _level_equal(z, targets, n):
-            return z
-    raise AssertionError("unreachable: x is always in its own class")
+    return _level_min(_trajectory(x, n), n, x)
 
 
 def delta_sequence(x: int, n_max: int) -> DeltaSequence:
@@ -234,13 +236,7 @@ def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     targets = _trajectory(x, n_max)
     values = [x]
     for n in range(1, n_max + 1):
-        prev = values[-1]
-        best = prev
-        for z in u0_range(1, prev):
-            if _level_equal(z, targets, n):
-                best = z
-                break
-        values.append(best)
+        values.append(_level_min(targets, n, values[-1]))
     stab = values.index(1) if 1 in values else None
     return DeltaSequence(base=x, values=values, stabilization_index=stab)
 

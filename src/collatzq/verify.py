@@ -18,9 +18,9 @@ Two layers:
   at a fixed step (Terras 1976), so only the surviving classes are iterated
   and every other class is settled once per chunk.  From 1 the chunks
   return each element's segment, and one ascending pass composes the
-  segments into exact steps to 1.  A sweep from 1 with an orbit cache runs
-  the same pipeline: it dispatches only the chunks that hold an element
-  the cache lacks, and stores each chunk's new records during that pass.
+  segments into exact steps to 1.  An orbit cache takes no part in the
+  sweep: afterwards it receives the record holders, each recomputed from
+  its full orbit, and any record it already holds for them must agree.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -34,7 +34,7 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import core, quotient
@@ -461,25 +461,24 @@ def _segment_outcome(x: int, max_steps: int) -> tuple[str, int, int, int]:
     return ("truncated", s, 0, mx)
 
 
-def _sweep_chunk(args: tuple[int, int, int, bool]) -> tuple:
-    # (segs, drops, chunk_max, peaks) over the elements of [lo, hi]: each
-    # segment's length and drop target (-1 for a cycle, -2 for a
-    # truncation), the largest segment peak and, when asked for, each
-    # segment's peak, from which a cached sweep derives orbit maxima.
-    lo, hi, max_steps, want_peaks = args
+def _sweep_chunk(args: tuple[int, int, int]) -> tuple:
+    # (segs, drops, climbs) over the elements of [lo, hi]: each segment's
+    # length and drop target (-1 for a cycle, -2 for a truncation), and the
+    # (x, peak) of each element whose segment peak beats every earlier
+    # element's peak in the chunk.
+    lo, hi, max_steps = args
     segs = array("i")
     drops = array("q")
-    peaks: list[int] | None = [] if want_peaks else None
-    chunk_max = 0
+    climbs: list[tuple[int, int]] = []
+    top = 0
     for x in u0_range(lo, hi):
         kind, s, v, mx = _segment_outcome(x, max_steps)
         segs.append(s)
         drops.append(v if kind == "drop" else -1 if kind == "cycle" else -2)
-        if mx > chunk_max:
-            chunk_max = mx
-        if peaks is not None:
-            peaks.append(mx)
-    return (segs, drops, chunk_max, peaks)
+        if mx > top:
+            top = mx
+            climbs.append((x, mx))
+    return (segs, drops, climbs)
 
 
 # Residue sieve for lo > 1 (Terras 1976).  The x whose first s steps halve
@@ -581,14 +580,13 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 
-def _prefix_bytes(hi: int, cached: bool = False) -> int:
+def _prefix_bytes(hi: int) -> int:
     # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
-    # third integer, plus per element either 12 bytes of chunk arrays
-    # (segment length and drop target) or, with a cache, up to about 290
-    # bytes (tracemalloc peaks from hi = 3e4 to 2e6): those arrays, a
-    # segment peak int and its list slot, an orbit-maximum slot, a lookup
-    # slot, and the cache's dict entry and record.
-    return 8 * (hi // 3 + 1) + (300 if cached else 12) * _u0_count(1, hi)
+    # third integer, 12 bytes of chunk arrays (segment length and drop
+    # target) per element, which growth by append over-allocates by up to
+    # 1/16, and 64 KiB for the rest: the chunks' climbs, the record holders
+    # and, with a cache, their records.
+    return 8 * (hi // 3 + 1) + 13 * _u0_count(1, hi) + (1 << 16)
 
 
 def _physical_memory() -> int:
@@ -628,19 +626,21 @@ def verify_conjecture_range(
     reported in its own list and forces all_reach_one to False.
 
     When lo == 1 the report's step statistics are exact steps-to-one,
-    composed from the segments in one ascending pass.  An attached cache is
-    consulted once per element before any is iterated: only the chunks that
-    hold a miss are dispatched, an element the cache holds takes its record,
-    and each chunk's newly resolved elements are stored as the pass leaves
-    it.  For lo > 1 exact totals are not derivable from the range
-    alone, so statistics are segment-local and the cache is left untouched;
-    the residue classes mod 2**16 that provably drop at a fixed step are
-    then settled per class instead of per element, with the same report.
+    composed from the segments in one ascending pass, which also finds the
+    record holders: the delay records (steps to 1 above every smaller
+    element's) and the path records (orbit maximum above every smaller
+    element's).  An attached cache never supplies a number to the report.
+    Each record holder whose steps are defined is recomputed with
+    core.orbit, checked against the composed total, looked up once and
+    stored; a cached record that disagrees raises CacheError.  For lo > 1
+    exact totals are not derivable from the range alone, so statistics are
+    segment-local and the cache is left untouched; the residue classes mod
+    2**16 that provably drop at a fixed step are then settled per class
+    instead of per element, with the same report.
 
-    A sweep from 1 keeps per-element state, about 20 bytes per element, or
-    about 300 with a cache; one that would need more than the machine's
-    physical memory raises ResourceLimitError before any element is
-    iterated.
+    A sweep from 1 keeps per-element state, about 20 bytes per element; one
+    that would need more than the machine's physical memory raises
+    ResourceLimitError before any element is iterated.
     """
     if lo < 1:
         raise DomainError(f"lo must be >= 1, got {lo}")
@@ -651,27 +651,20 @@ def verify_conjecture_range(
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     if lo == 1:
-        need, have = _prefix_bytes(hi, cache is not None), _physical_memory()
+        need, have = _prefix_bytes(hi), _physical_memory()
         if need > have:
             raise ResourceLimitError(
                 f"a sweep of [1, {hi}] needs about {need} bytes of per-element state, "
                 f"more than the {have} bytes of physical memory; sweep a shorter "
                 f"prefix and continue above it with lo > 1"
             )
-
-    spans = _chunk_spans(lo, hi, workers)
-    if lo == 1:
-        # Each element is looked up once, before dispatch; only the spans
-        # that hold a miss are iterated, so a warm run starts no pool.
-        looked = ([[cache.lookup(x) for x in u0_range(a, b)] for a, b in spans]
-                  if cache is not None else [None] * len(spans))
-        todo = [k for k, entries in enumerate(looked) if entries is None or None in entries]
         kernel = _sweep_chunk
-        args = [(*spans[k], max_steps, cache is not None) for k in todo]
     else:
         kernel = _sieve_chunk
         _sieve_table()  # built before the pool forks, so workers inherit it
-        args = [(a, b, max_steps) for a, b in spans]
+
+    spans = _chunk_spans(lo, hi, workers)
+    args = [(a, b, max_steps) for a, b in spans]
     if workers == 1 or len(args) <= 1:
         chunks = [kernel(a) for a in args]
     else:
@@ -682,10 +675,10 @@ def verify_conjecture_range(
         with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(kernel, args))
     if lo == 1:
-        results: list[tuple | None] = [None] * len(spans)
-        for k, chunk in zip(todo, chunks):
-            results[k] = chunk
-        chunks = [_resolve(hi, spans, results, looked, cache)]
+        summary, holders = _resolve(hi, spans, chunks)
+        chunks = [summary]
+        if cache is not None:
+            _store_records(cache, holders)
 
     checked = steps_max = exc_max = 0
     cycles: list[int] = []
@@ -709,65 +702,55 @@ def verify_conjecture_range(
     )
 
 
-def _resolve(hi: int, spans: list[tuple[int, int]], results: list, looked: list,
-             cache: OrbitCache | None) -> tuple:
-    # (count, steps_max, exc_max, cycles, truncated) of [1, hi] from one
-    # ascending pass.  totals[x // 3] is x's exact steps to 1, or -1 where a
-    # cycle or truncation upstream leaves it undefined; a drop target is a
-    # smaller restricted-domain element, so it is resolved before x.  With a
-    # cache, maxima[x // 3] is x's orbit maximum, an element the cache holds
-    # takes its record, and each span's new records are stored as the pass
-    # leaves it.
-    totals = array("q", b"\xff" * 8 * (hi // 3 + 1))
-    maxima = [0] * len(totals) if cache is not None else []
+def _resolve(hi: int, spans: list[tuple[int, int]], results: list) -> tuple:
+    # ((count, steps_max, exc_max, cycles, truncated), holders) of [1, hi]
+    # from one ascending pass.  totals[x // 3] is x's exact steps to 1, or -1
+    # where a cycle or truncation upstream leaves it undefined; a drop target
+    # is a smaller restricted-domain element, so it is resolved before x.
+    # holders maps each record holder to its total: each x where steps_max
+    # rises, and each chunk climb whose peak beats every earlier segment
+    # peak.  The orbit of x passes only through segments of elements up to
+    # x, so without findings these climbs are exactly the path records.
+    totals = array("q", [-1]) * (hi // 3 + 1)
+    holders: dict[int, int] = {}
     steps_max = exc_max = 0
     cycles: list[int] = []
     truncated: list[int] = []
-    for (a, b), result, entries in zip(spans, results, looked):
-        if entries is None:
-            segs, drops, chunk_max, _ = result
-            if chunk_max > exc_max:
-                exc_max = chunk_max
-            for x, s, d in zip(u0_range(a, b), segs, drops):
-                if d > 0:
-                    up = totals[d // 3]
-                    total = s + up if up >= 0 else -1
-                elif d == 0:
-                    total = s
-                else:
-                    total = -1
-                    (cycles if d == -1 else truncated).append(x)
-                totals[x // 3] = total
-                if total > steps_max:
-                    steps_max = total
-            continue
-        segs, drops, _, peaks = result or (repeat(0),) * 4  # a span of hits
-        new = []
-        for x, e, s, d, p in zip(u0_range(a, b), entries, segs, drops, peaks):
-            if e is not None:
-                total, top = e
-            elif d > 0:
+    for (a, b), (segs, drops, climbs) in zip(spans, results):
+        for x, s, d in zip(u0_range(a, b), segs, drops):
+            if d > 0:
                 up = totals[d // 3]
-                if up >= 0:
-                    total = s + up
-                    top = maxima[d // 3]
-                    if p > top:
-                        top = p
-                    new.append((x, total, top))
-                else:
-                    total, top = -1, p
+                total = s + up if up >= 0 else -1
             elif d == 0:
-                total, top = s, p
-                new.append((x, total, top))
+                total = s
             else:
-                total, top = -1, p
+                total = -1
                 (cycles if d == -1 else truncated).append(x)
             totals[x // 3] = total
-            maxima[x // 3] = top
             if total > steps_max:
                 steps_max = total
-            if top > exc_max:
-                exc_max = top
-        if new:
-            cache.store_many(new)
-    return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated)
+                holders[x] = total
+        for x, peak in climbs:
+            if peak > exc_max:
+                exc_max = peak
+                holders[x] = totals[x // 3]
+    return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders
+
+
+def _store_records(cache: OrbitCache, holders: dict[int, int]) -> None:
+    # Each record holder whose steps are defined, in ascending order: its
+    # exact orbit from core.orbit, checked against the composed total, one
+    # lookup, and one batch store, which raises CacheError for a cached
+    # record that disagrees.
+    records = []
+    for x, total in sorted(holders.items()):
+        if total < 0:
+            continue
+        orbit = core.orbit(x, max(total, 1))
+        if orbit.steps_to_one != total:
+            raise RuntimeError(
+                f"x={x} reaches 1 in {orbit.steps_to_one} steps, but the sweep composed {total}"
+            )
+        cache.lookup(x)
+        records.append((x, total, orbit.max_excursion))
+    cache.store_many(records)

@@ -10,6 +10,7 @@ import pytest
 
 from collatzq import LemmaCheckResult, OrbitCache, SufficientSetReport
 from collatzq import cli as cli_mod
+from collatzq import core
 from collatzq.cli import main
 
 
@@ -333,6 +334,22 @@ class TestCachePlumbing:
         assert env1["cache_stats"]["hits"] == 0
         assert env2["cache_stats"]["hits"] > 0
         assert env2["cache_stats"]["misses"] == 0
+
+    def test_planted_wrong_record_never_reaches_the_report(self, capsys, tmp_path):
+        # 31 holds a delay and a path record of [1, 2000]; 29 holds neither.
+        args = ("verify", "range", "--from", "1", "--to", "2000", "--quiet")
+        _, plain, _ = run_json(capsys, *args)
+        holder = tmp_path / "holder.jsonl"
+        OrbitCache(holder).store(31, 999, core.orbit(31).max_excursion)
+        code, out, err = run_cli(capsys, *args, "--cache", str(holder))
+        assert (code, out) == (2, "")
+        assert err.startswith("collatzq: cache error: ") and "x=31" in err
+        other = tmp_path / "other.jsonl"
+        OrbitCache(other).store(29, 999, 10**9)
+        code, env, _ = run_json(capsys, *args, "--cache", str(other))
+        assert code == 0
+        assert json.dumps(env["result"]) == json.dumps(plain["result"])
+        assert env["cache_stats"]["hits"] == 0
 
     @pytest.mark.parametrize("tail, command", [
         ("", ("orbit", "17")),  # the path is a directory

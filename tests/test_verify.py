@@ -1,5 +1,6 @@
 """Verification engine: lemma suite wiring, range sweep semantics."""
 
+import functools
 import json
 import random
 import tracemalloc
@@ -31,6 +32,50 @@ def naive_reach(x, budget):
         s += 1
         mx = max(mx, v)
     return (s if v == 1 else None), mx
+
+
+@functools.cache
+def _holder_records(hi, max_steps):
+    records = {}
+    steps_best = peak_best = 0
+    for x in u0_range(1, hi):
+        orbit = core.orbit(x, keep_prefix=True)
+        path = orbit.trajectory_prefix
+        lows, low = [0], x
+        for i, v in enumerate(path):
+            if v < low:
+                lows.append(i)
+                low = v
+        defined = all(b - a <= max_steps for a, b in zip(lows, lows[1:]))
+        drop = lows[1] if len(lows) > 1 else len(path)
+        peak = max(path[:min(drop, max_steps + 1)])
+        holder = False
+        if defined and orbit.steps_to_one > steps_best:
+            steps_best = orbit.steps_to_one
+            holder = True
+        if peak > peak_best:
+            peak_best = peak
+            holder = True
+        if holder and defined:
+            records[x] = (orbit.steps_to_one, orbit.max_excursion)
+    return records
+
+
+def record_holders(hi, max_steps=10_000, upto=None):
+    """{x: (steps to 1, orbit maximum)} of the record holders of [1, hi]
+    whose steps a sweep with max_steps defines, from core.orbit alone.
+
+    x holds a delay record when its steps to 1 beat every smaller element's,
+    and a path record when its segment peak (the orbit's largest value before
+    it first drops below x, within max_steps steps) beats every smaller
+    element's, which without truncations makes its orbit maximum beat theirs.
+    x's steps are defined when each stretch between successive new minima of
+    its orbit takes at most max_steps steps.  Holding a record depends only
+    on the elements up to x, so the holders of [1, hi] are those of any
+    longer prefix [1, upto] that lie in [1, hi].
+    """
+    records = _holder_records(upto or hi, max_steps)
+    return {x: rec for x, rec in records.items() if x <= hi}
 
 
 class TestLemmaSuite:
@@ -183,13 +228,14 @@ class TestRangeSweep:
 
 class TestRangeSweepWithCache:
     def test_cold_then_warm_identical(self, tmp_path):
+        holders = len(record_holders(2_000))
         cache = OrbitCache(tmp_path / "c.jsonl")
         cold = verify_conjecture_range(1, 2_000, cache=cache)
-        assert cache.misses > 0 and cache.hits == 0
+        assert (cache.hits, cache.misses) == (0, holders)
         warm_cache = OrbitCache(tmp_path / "c.jsonl")
         warm = verify_conjecture_range(1, 2_000, cache=warm_cache)
         assert warm == cold
-        assert warm_cache.hits == cold.elements_checked
+        assert warm_cache.hits == holders
         assert warm_cache.misses == 0
 
     def test_matches_uncached_run(self, tmp_path):
@@ -209,32 +255,55 @@ class TestRangeSweepWithCache:
         assert report == verify_conjecture_range(1, 500)
 
     def test_cached_totals_are_full_orbit_values(self, tmp_path):
-        cache = OrbitCache(tmp_path / "c.jsonl")
-        verify_conjecture_range(1, 200, cache=cache)
-        reloaded = OrbitCache(tmp_path / "c.jsonl")
-        for x in u0_range(1, 200):
-            entry = reloaded.lookup(x)
-            steps, exc = naive_reach(x, 10_000)
-            assert entry is not None
-            assert (entry.steps, entry.max_excursion) == (steps, exc)
+        # Brute force: the stored keys are the delay and path record holders
+        # of [1, hi] by core.orbit, and every record is that orbit.
+        for hi in (1, 5, 200, 2_000, 20_000):
+            path = tmp_path / f"{hi}.jsonl"
+            verify_conjecture_range(1, hi, cache=OrbitCache(path))
+            lines = path.read_text().splitlines()[1:]
+            stored = {int(rec["x"]): (rec["steps"], int(rec["max"]))
+                      for rec in map(json.loads, lines)}
+            assert len(stored) == len(lines)
+            assert stored == record_holders(hi, upto=20_000)
+            for x, record in stored.items():
+                orbit = core.orbit(x)
+                assert record == (orbit.steps_to_one, orbit.max_excursion) == naive_reach(x, 10_000)
+
+    def test_wrong_composed_total_is_caught_before_it_is_stored(self, tmp_path, monkeypatch):
+        # 31 holds a record of [1, 100]; one step too many in its segment
+        # disagrees with its orbit, which the sweep recomputes before storing.
+        real = verify_mod._segment_outcome
+
+        def one_step_too_many(x, max_steps):
+            kind, s, v, mx = real(x, max_steps)
+            return (kind, s + (x == 31), v, mx)
+
+        monkeypatch.setattr(verify_mod, "_segment_outcome", one_step_too_many)
+        with pytest.raises(RuntimeError, match="x=31"):
+            verify_conjecture_range(1, 100, cache=OrbitCache(tmp_path / "c.jsonl"))
+        assert len(OrbitCache(tmp_path / "c.jsonl")) == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("seed, max_steps", [(0, 10), (1, 40), (2, 10_000), (3, 40)])
     def test_cold_then_longer_and_shorter_warm_runs(self, tmp_path, seed, max_steps, workers):
         # A cold prefix, then warm prefixes past and short of it: each report
-        # is the uncached one, each element is looked up once, and every
-        # stored record is the exact orbit.
+        # is the uncached one, each record holder is looked up once, and
+        # every stored record is the exact orbit.
         rng = random.Random(seed)
         cold_hi = rng.randint(15_000, 30_000)
+        longest = cold_hi + rng.randint(1, 15_000)
         path = tmp_path / "c.jsonl"
-        for hi in (cold_hi, cold_hi + rng.randint(1, 15_000), rng.randint(1, cold_hi - 1)):
+        for hi in (cold_hi, longest, rng.randint(1, cold_hi - 1)):
             cache = OrbitCache(path)
             report = verify_conjecture_range(1, hi, max_steps=max_steps, workers=workers, cache=cache)
             assert report == verify_conjecture_range(1, hi, max_steps=max_steps)
-            assert cache.hits + cache.misses == report.elements_checked
+            assert cache.hits + cache.misses == len(record_holders(hi, max_steps, longest))
             if hi == cold_hi:
                 assert cache.hits == 0
                 assert report.truncated_elements or max_steps == 10_000
+            else:
+                assert cache.misses == len(record_holders(hi, max_steps, longest)
+                                           .keys() - record_holders(cold_hi, max_steps, longest).keys())
         records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
         assert records
         for rec in records:
@@ -263,10 +332,10 @@ class TestPrefixMemoryCap:
 
     def test_cap_counts_the_arrays_a_sweep_holds(self, monkeypatch):
         hi = 3_000
-        segs, drops, _, peaks = verify_mod._sweep_chunk((1, hi, 10_000, False))
-        assert peaks is None  # an uncached sweep keeps no per-element peaks
-        need = 8 * (hi // 3 + 1) + len(segs) * segs.itemsize + len(drops) * drops.itemsize
-        assert verify_mod._prefix_bytes(hi) == need
+        segs, drops, _ = verify_mod._sweep_chunk((1, hi, 10_000))
+        arrays = 8 * (hi // 3 + 1) + len(segs) * segs.itemsize + len(drops) * drops.itemsize
+        need = verify_mod._prefix_bytes(hi)
+        assert arrays < need
         monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need)
         assert verify_conjecture_range(1, hi).all_reach_one
         monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need - 1)
@@ -276,8 +345,8 @@ class TestPrefixMemoryCap:
         assert verify_conjecture_range(2, hi).all_reach_one
 
     def test_cached_estimate_covers_measured_peak(self, tmp_path):
-        # A cached sweep holds far more per element than the uncached arrays;
-        # its estimate must cover the measured peak without being vacuous.
+        # One estimate serves a sweep with or without a cache: it must cover
+        # a cached sweep's measured peak without being vacuous.
         hi = 30_000
         cache = OrbitCache(tmp_path / "c.jsonl")
         tracemalloc.start()
@@ -287,22 +356,19 @@ class TestPrefixMemoryCap:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        need = verify_mod._prefix_bytes(hi, cached=True)
+        need = verify_mod._prefix_bytes(hi)
         assert peak <= need <= 2 * peak
 
     def test_cached_sweep_refused_at_its_own_cost(self, tmp_path, monkeypatch):
         hi = 3_000
-        need = verify_mod._prefix_bytes(hi, cached=True)
-        assert need > 10 * verify_mod._prefix_bytes(hi)
+        need = verify_mod._prefix_bytes(hi)
         monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need - 1)
-        assert verify_conjecture_range(1, hi).all_reach_one
         cache = OrbitCache(tmp_path / "c.jsonl")
         with pytest.raises(ResourceLimitError, match="physical memory"):
             verify_conjecture_range(1, hi, cache=cache)
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
         monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need)
         assert verify_conjecture_range(1, hi, cache=cache).all_reach_one
-
 
 
 class TestWorkerClamp:
@@ -342,17 +408,6 @@ class TestWorkerClamp:
         report = verify_conjecture_range(lo, hi, workers=workers)
         assert report == verify_conjecture_range(lo, hi, workers=1)
         assert pool_sizes == [chunks if started is None else started]  # one pool
-
-
-    def test_warm_cached_sweep_starts_no_pool(self, pool_sizes, monkeypatch, tmp_path):
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-        path = tmp_path / "c.jsonl"
-        cold = verify_conjecture_range(1, 40_000, workers=2, cache=OrbitCache(path))
-        assert pool_sizes == [2]
-        warm_cache = OrbitCache(path)
-        assert verify_conjecture_range(1, 40_000, workers=2, cache=warm_cache) == cold
-        assert warm_cache.misses == 0
-        assert pool_sizes == [2]  # the warm run dispatched nothing
 
 
 def per_element_report(lo, hi, max_steps):
