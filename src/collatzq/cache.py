@@ -61,6 +61,12 @@ class OrbitCache:
     internal conflict raises CacheError naming the offending line.  A file
     that cannot be created, read or appended to raises CacheError naming
     the path.
+
+    Callers compute every record themselves and offer it to store or
+    store_many, so the cache checks numbers and never supplies them.  Only
+    store_many counts: an offered record the cache already holds is a hit,
+    a new one is a miss, so hits + misses is the number of records offered.
+    lookup is a plain read and counts nothing.
     """
 
     def __init__(self, path: str | Path):
@@ -158,19 +164,14 @@ class OrbitCache:
         return x, CacheEntry(rec["steps"], mx)
 
     def lookup(self, x: int) -> CacheEntry | None:
-        entry = self._entries.get(x)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
+        return self._entries.get(x)
 
     def store(self, x: int, steps: int, max_excursion: int) -> CacheEntry:
         """Record one orbit summary; idempotent, conflict-checked."""
         return self.store_many([(x, steps, max_excursion)])[0]
 
     def store_many(self, items: Iterable[tuple[int, int, int]]) -> list[CacheEntry]:
-        """Batch store with a single file append."""
+        """Batch store with a single file append; counts each record offered."""
         out: list[CacheEntry] = []
         new_lines: list[str] = []
         entries = self._entries
@@ -181,11 +182,14 @@ class OrbitCache:
                 entries[x] = known = make((steps, max_excursion))
                 # Byte for byte json.dumps({"x": str(x), "steps": steps, "max": str(max_excursion)}).
                 new_lines.append(f'{{"x": "{x}", "steps": {steps}, "max": "{max_excursion}"}}\n')
+                self.misses += 1
             elif known != (steps, max_excursion):
                 raise CacheError(
                     f"{self.path}: conflicting store for x={x}: "
                     f"cached {known}, offered {CacheEntry(steps, max_excursion)}"
                 )
+            else:
+                self.hits += 1
             out.append(known)
         if new_lines:
             try:

@@ -161,18 +161,11 @@ def _build_parser() -> _Parser:
 def _cmd_orbit(ns, cache):
     from . import core
     params = {"x": ns.x, "max_steps": ns.max_steps, "trace": ns.trace}
-    if ns.trace:
-        rec = core.orbit(ns.x, max_steps=ns.max_steps, keep_prefix=True)
-    else:
-        entry = cache.lookup(ns.x) if cache is not None else None
-        if entry is not None:
-            rec = core.OrbitRecord(start=ns.x, steps_to_one=entry.steps,
-                                   max_excursion=entry.max_excursion,
-                                   trajectory_prefix=None, truncated=False)
-        else:
-            rec = core.orbit(ns.x, max_steps=ns.max_steps)
-            if cache is not None and rec.steps_to_one is not None:
-                cache.store(ns.x, rec.steps_to_one, rec.max_excursion)
+    rec = core.orbit(ns.x, max_steps=ns.max_steps, keep_prefix=ns.trace)
+    # The cache checks the computed record (a disagreeing one is CacheError)
+    # and never supplies it.
+    if cache is not None and rec.steps_to_one is not None:
+        cache.store(ns.x, rec.steps_to_one, rec.max_excursion)
     result = {
         "start": rec.start,
         "steps_to_one": rec.steps_to_one,

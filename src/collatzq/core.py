@@ -79,6 +79,15 @@ def u0_range(lo: int, hi: int) -> Iterator[int]:
         step = 6 - step
 
 
+def _u0_count(lo: int, hi: int) -> int:
+    # How many elements u0_range(lo, hi) yields, for lo >= 1, without iterating.
+    def upto(n: int) -> int:
+        q, r = divmod(n, 6)
+        return 2 * q + (r >= 1) + (r >= 5)
+
+    return upto(hi) - upto(lo - 1)
+
+
 def nu2(y: int) -> int:
     """Exponent of the largest power of 2 dividing y (y >= 1)."""
     if y < 1:
@@ -206,10 +215,10 @@ def orbit(x: int, max_steps: int = 10_000, keep_prefix: bool = False) -> OrbitRe
     """Iterate the accelerated step from x until 1, a cycle, or max_steps.
 
     Any odd positive start is accepted: the forward step is defined on all
-    of them, multiples of 3 simply never recur.  With keep_prefix the
-    visited values are recorded and cycle detection is an exact hash-set
-    membership test; without it, memory stays constant and a Brent-style
-    checkpoint catches any cycle on the value stream.
+    of them, multiples of 3 simply never recur.  One loop serves every
+    caller: a Brent-style checkpoint (Brent 1980) catches any cycle on the
+    value stream in constant memory, and with keep_prefix the visited values
+    are also recorded.
     """
     _require_odd(x)
     if max_steps < 1:
@@ -220,42 +229,26 @@ def orbit(x: int, max_steps: int = 10_000, keep_prefix: bool = False) -> OrbitRe
 def _orbit_impl(
     step: Callable[[int], int], x: int, max_steps: int, keep_prefix: bool
 ) -> OrbitRecord:
+    # The checkpoint moves to the current value after 1, 2, 4, ... steps,
+    # so a cycle of length L is caught within about 2L steps of entering it.
     prefix = [x] if keep_prefix else None
-    if x == 1:
-        return OrbitRecord(x, 0, x, prefix, False)
-    mx = x
-    v = x
-    steps = 0
-    if keep_prefix:
-        assert prefix is not None
-        seen = {x}
-        while steps < max_steps:
-            v = step(v)
-            steps += 1
-            prefix.append(v)
-            if v > mx:
-                mx = v
-            if v == 1:
-                return OrbitRecord(x, steps, mx, prefix, False)
-            if v in seen:
-                return OrbitRecord(x, None, mx, prefix, False, cycle_value=v)
-            seen.add(v)
-        return OrbitRecord(x, None, mx, prefix, True)
-    checkpoint = x
+    mx = v = checkpoint = x
+    steps = lam = 0
     power = 1
-    lam = 0
-    while steps < max_steps:
+    while v != 1:
+        if steps == max_steps:
+            return OrbitRecord(x, None, mx, prefix, True)
         v = step(v)
         steps += 1
+        if prefix is not None:
+            prefix.append(v)
         if v > mx:
             mx = v
-        if v == 1:
-            return OrbitRecord(x, steps, mx, None, False)
         if v == checkpoint:
-            return OrbitRecord(x, None, mx, None, False, cycle_value=v)
+            return OrbitRecord(x, None, mx, prefix, False, cycle_value=v)
         lam += 1
         if lam == power:
             checkpoint = v
             power <<= 1
             lam = 0
-    return OrbitRecord(x, None, mx, None, True)
+    return OrbitRecord(x, steps, mx, prefix, False)

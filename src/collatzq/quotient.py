@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import _iterate, _require_u0, _step, tau, u0_range
+from .core import _iterate, _require_u0, _step, _u0_count, tau, u0_range
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -295,16 +295,11 @@ def class_inf(x: int, bound: int, cap: int) -> ClassWindow:
         raise DomainError(f"bound must be >= 1, got {bound}")
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    targets = _trajectory(x, cap)  # T(1) = 1, so a trajectory that reaches 1 stays there
-    members: list[int] = []
-    exact = True
-    for z in u0_range(1, bound):
-        if _level_equal(z, targets, cap):
-            members.append(z)
-        else:
-            exact = False
+    # Orbits that merge stay merged, so merging within cap steps is equality
+    # at level cap; the window is exact when every candidate is a member.
+    members = _class_scan(x, cap, bound)
     return ClassWindow(base=x, level=None, bound=bound, members=members,
-                       exact_within_bound=exact)
+                       exact_within_bound=len(members) == _u0_count(1, bound))
 
 
 def tstar_apply(x: int, n_cap: int) -> int:

@@ -38,7 +38,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import core, quotient
-from .core import u0_range
+from .core import _u0_count, u0_range
 from .errors import DomainError, ResourceLimitError
 
 if TYPE_CHECKING:
@@ -529,14 +529,6 @@ def _sieve_table() -> _SieveTable:
     return _SieveTable(tuple(sorted(survivors)), tuple(sorted(classes, reverse=True)))
 
 
-def _u0_count(lo: int, hi: int) -> int:
-    def upto(n: int) -> int:
-        q, r = divmod(n, 6)
-        return 2 * q + (r >= 1) + (r >= 5)
-
-    return upto(hi) - upto(lo - 1)
-
-
 def _top_member(r: int, period: int, lo: int, hi: int) -> int:
     """The largest x = r (mod period) in [lo, hi] with x % 3 != 0, or 0.
 
@@ -631,10 +623,10 @@ def verify_conjecture_range(
     element's) and the path records (orbit maximum above every smaller
     element's).  An attached cache never supplies a number to the report.
     Each record holder whose steps are defined is recomputed with
-    core.orbit, checked against the composed total, looked up once and
-    stored; a cached record that disagrees raises CacheError.  For lo > 1
-    exact totals are not derivable from the range alone, so statistics are
-    segment-local and the cache is left untouched; the residue classes mod
+    core.orbit, checked against the composed total and stored; a cached
+    record that disagrees raises CacheError.  For lo > 1 exact totals are
+    not derivable from the range alone, so statistics are segment-local
+    and the cache is left untouched; the residue classes mod
     2**16 that provably drop at a fixed step are then settled per class
     instead of per element, with the same report.
 
@@ -739,9 +731,9 @@ def _resolve(hi: int, spans: list[tuple[int, int]], results: list) -> tuple:
 
 def _store_records(cache: OrbitCache, holders: dict[int, int]) -> None:
     # Each record holder whose steps are defined, in ascending order: its
-    # exact orbit from core.orbit, checked against the composed total, one
-    # lookup, and one batch store, which raises CacheError for a cached
-    # record that disagrees.
+    # exact orbit from core.orbit, checked against the composed total, and
+    # one batch store, which counts hits and misses and raises CacheError
+    # for a cached record that disagrees.
     records = []
     for x, total in sorted(holders.items()):
         if total < 0:
@@ -751,6 +743,5 @@ def _store_records(cache: OrbitCache, holders: dict[int, int]) -> None:
             raise RuntimeError(
                 f"x={x} reaches 1 in {orbit.steps_to_one} steps, but the sweep composed {total}"
             )
-        cache.lookup(x)
         records.append((x, total, orbit.max_excursion))
     cache.store_many(records)

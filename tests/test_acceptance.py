@@ -212,9 +212,11 @@ def test_criterion_9_cache_integrity(announce, run_module, tmp_path):
     identical = json.dumps(env1["result"]) == json.dumps(env2["result"])
     warm_hits = env2["cache_stats"]["hits"] > 0
 
-    lines = open(path).read().splitlines(keepends=True)
+    with open(path) as fh:
+        lines = fh.read().splitlines(keepends=True)
     lines[2] = "garbage\n"
-    open(path, "w").writelines(lines)
+    with open(path, "w") as fh:
+        fh.writelines(lines)
     corrupt = run_module(*args)
     names_line = corrupt.returncode == 2 and "line 3" in corrupt.stderr
 

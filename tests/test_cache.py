@@ -36,8 +36,6 @@ def test_store_and_lookup_round_trip(tmp_path):
     assert reloaded.lookup(7) == CacheEntry(steps=5, max_excursion=17)
     assert reloaded.lookup(27) == CacheEntry(steps=41, max_excursion=3_077 * 10**30)
     assert reloaded.lookup(9) is None
-    assert reloaded.hits == 2
-    assert reloaded.misses == 1
 
 
 def test_record_lines_are_decimal_strings(tmp_path):
@@ -139,13 +137,19 @@ def test_store_many_batches(tmp_path):
     assert reloaded.lookup(5) == CacheEntry(1, 5)
 
 
-def test_lookup_counts_accumulate(tmp_path):
+def test_stores_count_hits_and_misses_lookups_count_nothing(tmp_path):
     cache = OrbitCache(tmp_path / "c.jsonl")
     cache.store(7, 5, 17)
+    assert (cache.hits, cache.misses) == (0, 1)
+    cache.store_many([(7, 5, 17), (11, 4, 17), (7, 5, 17)])
+    assert (cache.hits, cache.misses) == (2, 2)
     cache.lookup(7)
-    cache.lookup(7)
-    cache.lookup(11)
-    assert (cache.hits, cache.misses) == (2, 1)
+    cache.lookup(13)
+    assert (cache.hits, cache.misses) == (2, 2)
+    reloaded = OrbitCache(tmp_path / "c.jsonl")
+    assert (reloaded.hits, reloaded.misses) == (0, 0)
+    reloaded.store(11, 4, 17)
+    assert (reloaded.hits, reloaded.misses) == (1, 0)
 
 
 @pytest.mark.parametrize("digit", ["\\u00b2", "\\u0660"])

@@ -320,10 +320,21 @@ class TestCachePlumbing:
         _, env, _ = run_json(capsys, "orbit", "17")
         assert "cache_stats" not in env
 
-    def test_trace_bypasses_cache(self, capsys, tmp_path):
+    def test_trace_checks_and_stores_like_any_orbit(self, capsys, tmp_path):
         path = str(tmp_path / "c.jsonl")
         _, env, _ = run_json(capsys, "orbit", "7", "--trace", "--cache", path)
-        assert env["cache_stats"] == {"hits": 0, "misses": 0}
+        assert env["cache_stats"] == {"hits": 0, "misses": 1}
+        _, env2, _ = run_json(capsys, "orbit", "7", "--trace", "--cache", path)
+        assert env2["cache_stats"] == {"hits": 1, "misses": 0}
+        assert env2["result"] == env["result"]
+
+    @pytest.mark.parametrize("trace", [(), ("--trace",)])
+    def test_planted_wrong_orbit_record_exits_two(self, capsys, tmp_path, trace):
+        path = tmp_path / "c.jsonl"
+        OrbitCache(path).store(31, 999, 9232)
+        code, out, err = run_cli(capsys, "orbit", "31", *trace, "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("collatzq: cache error: ") and "x=31" in err
 
     def test_verify_range_cache_round_trip(self, capsys, tmp_path):
         path = str(tmp_path / "c.jsonl")

@@ -244,6 +244,10 @@ class TestOrbit:
             assert rec.cycle_value in (11, 17)
             assert rec.steps_to_one is None
             assert not rec.truncated
+            if keep:
+                prefix = rec.trajectory_prefix
+                assert prefix[0] == 7 and prefix[-1] == rec.cycle_value
+                assert all(table[a] == b for a, b in zip(prefix, prefix[1:]))
 
     def test_synthetic_cycle_exact_budget(self):
         table = {7: 11, 11: 17, 17: 11}

@@ -72,6 +72,8 @@ _CASES = [
                                 "--max-steps", "5"], None),
     ("orbit-cold", ["orbit", "27"], "cold"),
     ("orbit-warm", ["orbit", "27"], "warm"),
+    ("orbit-trace-warm", ["orbit", "7", "--trace"], "warm"),
+    ("orbit-truncated-cold", ["orbit", "27", "--max-steps", "5"], "cold"),
     ("verify-range-cold", ["verify", "range", "--from", "1", "--to", "300"], "cold"),
     ("verify-range-warm", ["verify", "range", "--from", "1", "--to", "300"], "warm"),
 ]
