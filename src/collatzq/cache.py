@@ -27,7 +27,6 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import re
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -36,11 +35,6 @@ from .errors import CacheError
 __all__ = ["CacheEntry", "OrbitCache", "HEADER"]
 
 HEADER = {"format": "collatz-cache", "version": 1}
-
-# The exact line store_many writes.  Every other line, canonical JSON or not,
-# goes through json.loads and the checks in _parse_record.
-_RECORD = re.compile(r'\{"x": "([0-9]+)", "steps": (0|[1-9][0-9]*), "max": "([0-9]+)"\}')
-
 
 class CacheEntry(NamedTuple):
     steps: int
@@ -125,16 +119,8 @@ class OrbitCache:
             raise CacheError(f"{self.path}: line 1: unexpected header {head!r}")
         torn = len(lines) if unterminated else 0
         entries = self._entries
-        match = _RECORD.fullmatch
-        make = CacheEntry._make
         for lineno, line in enumerate(lines[1:], start=2):
-            m = match(line)
-            if m is None:
-                x, entry = self._parse_record(line, lineno, lineno == torn)
-            else:
-                x_text, steps_text, max_text = m.groups()
-                x = int(x_text)
-                entry = make((int(steps_text), int(max_text)))
+            x, entry = self._parse_record(line, lineno, lineno == torn)
             known = entries.setdefault(x, entry)
             if known is not entry and known != entry:
                 raise CacheError(
@@ -143,7 +129,7 @@ class OrbitCache:
                 )
 
     def _parse_record(self, line: str, lineno: int, last_unterminated: bool) -> tuple[int, CacheEntry]:
-        """Validate a record line the canonical pattern did not take."""
+        """Validate one record line."""
         if not line.strip():
             raise CacheError(f"{self.path}: line {lineno}: blank line in record section")
         try:
@@ -166,37 +152,35 @@ class OrbitCache:
     def lookup(self, x: int) -> CacheEntry | None:
         return self._entries.get(x)
 
-    def store(self, x: int, steps: int, max_excursion: int) -> CacheEntry:
-        """Record one orbit summary; idempotent, conflict-checked."""
-        return self.store_many([(x, steps, max_excursion)])[0]
+    def store(self, x: int, steps: int, max_excursion: int) -> None:
+        """Record one orbit summary; idempotent, conflict-checked, returns nothing."""
+        self.store_many([(x, steps, max_excursion)])
 
-    def store_many(self, items: Iterable[tuple[int, int, int]]) -> list[CacheEntry]:
-        """Batch store with a single file append; counts each record offered."""
-        out: list[CacheEntry] = []
+    def store_many(self, items: Iterable[tuple[int, int, int]]) -> None:
+        """Batch store with a single file append; counts each record offered.
+
+        Returns nothing: the caller already holds every record it offers.
+        """
         new_lines: list[str] = []
         entries = self._entries
-        make = CacheEntry._make
         for x, steps, max_excursion in items:
-            known = entries.get(x)
-            if known is None:
-                entries[x] = known = make((steps, max_excursion))
-                # Byte for byte json.dumps({"x": str(x), "steps": steps, "max": str(max_excursion)}).
-                new_lines.append(f'{{"x": "{x}", "steps": {steps}, "max": "{max_excursion}"}}\n')
+            entry = CacheEntry(steps, max_excursion)
+            known = entries.setdefault(x, entry)
+            if known is entry:
+                record = {"x": str(x), "steps": steps, "max": str(max_excursion)}
+                new_lines.append(json.dumps(record) + "\n")
                 self.misses += 1
-            elif known != (steps, max_excursion):
+            elif known != entry:
                 raise CacheError(
-                    f"{self.path}: conflicting store for x={x}: "
-                    f"cached {known}, offered {CacheEntry(steps, max_excursion)}"
+                    f"{self.path}: conflicting store for x={x}: cached {known}, offered {entry}"
                 )
             else:
                 self.hits += 1
-            out.append(known)
         if new_lines:
             try:
                 self._append("".join(new_lines).encode("ascii"))
             except OSError as exc:
                 raise CacheError(f"{self.path}: {exc.strerror or exc}") from exc
-        return out
 
     def _append(self, batch: bytes) -> None:
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND)

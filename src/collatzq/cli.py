@@ -367,16 +367,11 @@ def _cmd_verify_lemmas(ns, cache):
 
 def _cmd_verify_range(ns, cache):
     from . import verify
-
-    # Imported after verify on purpose: where no bytecode is cached, compiling
-    # verify.py is this command's memory peak, and loading dataclasses (and
-    # inspect) first raises that peak by about 0.8 MB.
-    from dataclasses import asdict
     params = {"from": ns.lo, "to": ns.hi, "jobs": ns.jobs,
               "max_steps": ns.max_steps}
     report = verify.verify_conjecture_range(ns.lo, ns.hi, max_steps=ns.max_steps,
                                             workers=ns.jobs, cache=cache)
-    return params, asdict(report), 0 if report.all_reach_one else 3
+    return params, vars(report), 0 if report.all_reach_one else 3
 
 
 # The number-space rule, in one place: under these keys, at any depth, every

@@ -165,8 +165,9 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
     The budget follows the forward scan's cost, the window's candidates
     times n levels, plus floor.  The walk appends at most that many nodes,
     and no level holds more nodes than the window has candidates plus
-    floor, so memory stays near that of a class list.  Past either limit
-    it raises ResourceLimitError.
+    floor, so memory stays near that of a class list.  A level stops one
+    node past either limit, before the rest of a deep shift chain is built,
+    and the walk raises ResourceLimitError.
     """
     window = bound // 3 + 1
     budget, widest = window * n + floor, window + floor
@@ -175,8 +176,7 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
     yield [z for z in level if z <= bound and z % 3]
     for depth in range(n):
         r = n - depth - 1  # backward levels remaining below the children
-        limit = 3**r * (bound + 1)
-        p2 = 1 << r
+        top = 3**r * (bound + 1) >> r  # z * 2^r <= 3^r * (bound + 1)
         room = min(left, widest)
         nxt: list[int] = []
         for v in level:
@@ -185,7 +185,7 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
             z = (4 * v - 1) // 3 if v % 3 == 1 else (2 * v - 1) // 3
             if z == v:
                 z = 5  # 1 is its own smallest preimage
-            while z * p2 <= limit:
+            while z <= top and len(nxt) <= room:
                 nxt.append(z)
                 z = 4 * z + 1
             if len(nxt) > room:

@@ -305,8 +305,8 @@ class TestConcurrentWriters:
         assert OrbitCache(path).lookup(7) == CacheEntry(5, 17)
 
 
-# Differential test: the canonical-line fast path against json.loads plus the
-# checks every record line went through before it existed.
+# Differential test: the loader against a reference built from json.loads and
+# the documented checks, over canonical lines and near misses of them.
 
 def _reference_load(path: Path, lines: list[str]):
     """Per x, the entry a load must produce; or the CacheError message."""
@@ -394,7 +394,7 @@ def _record_line(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_record_line(), min_size=1, max_size=4))
-def test_fast_path_agrees_with_json_path(tmp_path_factory, lines):
+def test_loader_matches_reference_checks(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("diff") / "c.jsonl"
     path.write_text(HEADER + "".join(line + "\n" for line in lines))
     expected = _reference_load(path, lines)

@@ -244,6 +244,25 @@ class TestRangeSweepWithCache:
         plain = verify_conjecture_range(1, 3_000)
         assert cached == plain
 
+    def test_warm_sweep_over_per_element_file(self, tmp_path):
+        # Earlier versions stored one record per element.  A warm sweep over
+        # such a file offers only its record holders, all hits, and leaves
+        # the records of every other element as they are.
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps({"format": "collatz-cache", "version": 1})]
+        for x in u0_range(1, 3_000):
+            orbit = core.orbit(x)
+            lines.append(json.dumps({"x": str(x), "steps": orbit.steps_to_one,
+                                     "max": str(orbit.max_excursion)}))
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        cache = OrbitCache(path)
+        assert len(cache) == len(lines) - 1
+        report = verify_conjecture_range(1, 3_000, cache=cache)
+        assert (cache.hits, cache.misses) == (len(record_holders(3_000)), 0)
+        assert report == verify_conjecture_range(1, 3_000)
+        assert path.read_bytes() == before
+
     def test_partial_warm_cache(self, tmp_path):
         path = tmp_path / "c.jsonl"
         seed_cache = OrbitCache(path)

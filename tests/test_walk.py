@@ -1,5 +1,6 @@
 """The preimage-tree walker against the forward scans it replaces, and its budget."""
 
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -91,3 +92,21 @@ class TestBudget:
         want = [(n, sum(1 for z in u0_range(1, bound) if raw_iter(z, n) == 1))
                 for n in range(n_max + 1)]
         assert census_class_of_one(n_max, bound) == want
+
+    def test_deep_census_stops_walking_at_its_budget(self):
+        # At level 30_000 one shift chain from 1 holds about 8_700 nodes of
+        # up to 17_500 bits.  The walk must raise before it builds that
+        # chain, so the census holds little beyond its own answer.
+        tracemalloc.start()
+        try:
+            got = census_class_of_one(30_000, 100)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 1 << 20
+        first_hit = bookkeeping_mod._census_scan(30_000, 100)
+        assert got == list(enumerate(accumulate(first_hit)))
+
+    def test_deep_class_bfs_over_budget_raises(self):
+        with pytest.raises(ResourceLimitError, match="method 'scan'"):
+            class_n(7, 30_000, 100, method="bfs")
