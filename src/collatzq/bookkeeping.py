@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import _require_u0, _step, iterate, nu2, tau, u0_range
+from .core import _meet, _require_u0, iterate, nu2, tau, u0_range
 from .errors import DomainError, ResourceLimitError
 from .quotient import ClassWindow, _walk, class_inf, class_n, delta_sequence
 
@@ -204,10 +204,7 @@ def _census_scan(n_max: int, bound: int) -> list[int]:
     # First-hit counts per level by iterating every window element forward.
     first_hit = [0] * (n_max + 1)
     for z in u0_range(1, bound):
-        v = z
-        for i in range(n_max + 1):
-            if v == 1:
-                first_hit[i] += 1
-                break
-            v = _step(v)
+        i = _meet(z, [1], n_max)
+        if i is not None:
+            first_hit[i] += 1
     return first_hit

@@ -432,7 +432,11 @@ def _resolve_cache(ns) -> OrbitCache | None:
 
 
 def _emit_json(env) -> str:
-    return json.dumps(env, indent=2) + "\n"
+    # dump writes chunks as they come; dumps with indent first lists them all.
+    buf = io.StringIO()
+    json.dump(env, buf, indent=2)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def _csv_scalar(value) -> str:

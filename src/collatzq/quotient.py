@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import _iterate, _require_u0, _step, _u0_count, tau, u0_range
+from .core import _iterate, _meet, _require_u0, _step, _trajectory, _u0_count, tau, u0_range
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -85,30 +85,10 @@ class MergeResult:
     cap: int
 
 
-def _trajectory(x: int, n: int) -> list[int]:
-    out = [x]
-    v = x
-    for _ in range(n):
-        v = _step(v)
-        out.append(v)
-    return out
-
-
-def _level_equal(z: int, targets: list[int], n: int) -> bool:
-    # Does T^n z equal targets[n]?  Once the trajectory of z touches the
-    # target trajectory at matching depth the tails coincide, so bail early.
-    v = z
-    for i in range(n):
-        if v == targets[i]:
-            return True
-        v = _step(v)
-    return v == targets[n]
-
-
 def _level_min(targets: list[int], n: int, upto: int) -> int:
-    # The smallest element whose n-th image is targets[n], scanning upward
-    # from 1; upto is known to be one, so the scan ends there at the latest.
-    return next((z for z in u0_range(1, upto - 1) if _level_equal(z, targets, n)), upto)
+    # The smallest element meeting targets (the base's trajectory) by level n,
+    # scanning upward from 1; upto is one, so the scan ends there at the latest.
+    return next((z for z in u0_range(1, upto - 1) if _meet(z, targets, n) is not None), upto)
 
 
 def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
@@ -141,7 +121,7 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
 
 def _class_scan(x: int, n: int, bound: int) -> list[int]:
     targets = _trajectory(x, n)
-    return [z for z in u0_range(1, bound) if _level_equal(z, targets, n)]
+    return [z for z in u0_range(1, bound) if _meet(z, targets, n) is not None]
 
 
 # Nodes a bfs walk may append beyond the forward scan's cost, so that small
@@ -164,10 +144,10 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
 
     The budget follows the forward scan's cost, the window's candidates
     times n levels, plus floor.  The walk appends at most that many nodes,
-    and no level holds more nodes than the window has candidates plus
-    floor, so memory stays near that of a class list.  A level stops one
-    node past either limit, before the rest of a deep shift chain is built,
-    and the walk raises ResourceLimitError.
+    and a level's nodes, each charged the 64-bit words of its pruning bound,
+    come to at most the window's candidates plus floor, so memory stays near
+    that of a class list.  A level stops one node past either limit, before
+    a deep shift chain is built, and the walk raises ResourceLimitError.
     """
     window = bound // 3 + 1
     budget, widest = window * n + floor, window + floor
@@ -177,7 +157,7 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
     for depth in range(n):
         r = n - depth - 1  # backward levels remaining below the children
         top = 3**r * (bound + 1) >> r  # z * 2^r <= 3^r * (bound + 1)
-        room = min(left, widest)
+        room = min(left, widest) // (top.bit_length() // 64 + 1)
         nxt: list[int] = []
         for v in level:
             if v % 3 == 0:
@@ -253,6 +233,8 @@ def merge(x: int, z: int, cap: int) -> MergeResult:
         raise DomainError(f"cap must be >= 1, got {cap}")
     if x == z:
         return MergeResult(x, z, 0, cap)
+    # Two live orbits in O(1) memory that stop where they meet, at 1 at the latest;
+    # _meet would hold min(cap, sigma(x)) values of x: gigabytes for x of 10^5 bits.
     a, b = x, z
     for n in range(1, cap + 1):
         a = _step(a)
@@ -273,13 +255,8 @@ def delta_inf(x: int, n_cap: int) -> tuple[int, bool]:
     _require_u0(x)
     if n_cap < 1:
         raise DomainError(f"n_cap must be >= 1, got {n_cap}")
-    v = x
-    if v == 1:
+    if _meet(x, [1], n_cap) is not None:  # [1] is _trajectory(1, n_cap)
         return 1, True
-    for _ in range(n_cap):
-        v = _step(v)
-        if v == 1:
-            return 1, True
     return delta_n(x, n_cap), False
 
 

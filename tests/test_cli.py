@@ -137,6 +137,24 @@ class TestEnvelope:
             _, out, _ = run_cli(capsys, *argv)
             assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
+    def test_json_text_is_not_built_twice(self):
+        # A census envelope of 10^5 rows: dumps with indent would hold a list
+        # of every chunk beside the text, about 9 times the text.
+        import tracemalloc
+
+        rows = [{"level": n, "count": 3 * n} for n in range(10**5)]
+        env = {"command": "census", "parameters": {"n_max": 10**5 - 1, "bound": 100},
+               "result": {"counts": rows}, "timing": 0.5}
+        want = json.dumps(env, indent=2) + "\n"
+        tracemalloc.start()
+        try:
+            got = cli_mod._emit_json(env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 3 * len(want)
+
     def test_envelope_shape(self, capsys):
         _, env, _ = run_json(capsys, "merge", "7", "17", "--cap", "100")
         assert list(env.keys()) == ["command", "parameters", "result", "timing"]

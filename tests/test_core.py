@@ -153,6 +153,22 @@ class TestIterate:
             for k in range(4):
                 assert iterate(iterate(x, -k), k) == x
 
+    def test_forward_stops_stepping_at_one(self, monkeypatch):
+        # 7 reaches 1 in 5 steps; the other 999_995 would map 1 to 1.
+        from collatzq import core
+
+        step = core._step
+        steps = 0
+
+        def counting(v):
+            nonlocal steps
+            steps += 1
+            return step(v)
+
+        monkeypatch.setattr(core, "_step", counting)
+        assert core.iterate(7, 10**6) == 1
+        assert steps <= 20
+
     def test_forward_requires_restricted_domain(self):
         with pytest.raises(DomainError):
             iterate(9, 1)

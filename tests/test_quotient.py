@@ -1,6 +1,7 @@
 """Class machinery: windows, minima, merges, witnesses, partitions."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,7 @@ from collatzq import (
     tstar_apply,
     u0_range,
 )
+from collatzq.core import _meet, _trajectory
 
 
 def raw_step(v):
@@ -145,7 +147,7 @@ class TestDelta:
         def no_scan(z, targets, n):
             raise AssertionError(f"tested candidate {z} at level 0")
 
-        monkeypatch.setattr(quotient_mod, "_level_equal", no_scan)
+        monkeypatch.setattr(quotient_mod, "_meet", no_scan)
         assert delta_n(10**12 + 1, 0) == 10**12 + 1
         assert delta_n(1, 0) == 1
 
@@ -161,14 +163,14 @@ class TestDelta:
 
         x = 31 * 4**7 + (4**7 - 1) // 3
         want = delta_sequence(31, 20).values[1:]
-        level_equal = quotient_mod._level_equal
+        meet = quotient_mod._meet
         tested = []
 
         def counting(z, targets, n):
             tested.append(z)
-            return level_equal(z, targets, n)
+            return meet(z, targets, n)
 
-        monkeypatch.setattr(quotient_mod, "_level_equal", counting)
+        monkeypatch.setattr(quotient_mod, "_meet", counting)
         tracemalloc.start()
         try:
             assert delta_n(x, 20) == want[-1]
@@ -179,6 +181,24 @@ class TestDelta:
         finally:
             tracemalloc.stop()
         assert peak < 16_384
+
+    def test_levels_past_one_hold_no_trajectory(self):
+        # 7 reaches 1 in 5 steps, so a level of 10^7 costs what level 5 costs:
+        # the base's trajectory is kept only up to its first 1.
+        want_inf = class_inf(7, 30, 100).members
+        want_n = class_n(7, 100, 30).members
+        for check in (
+            lambda: delta_n(7, 10**7) == 1,
+            lambda: class_inf(7, 30, 10**7).members == want_inf,
+            lambda: class_n(7, 10**7, 30).members == want_n,
+        ):
+            tracemalloc.start()
+            try:
+                assert check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 65_536
 
     def test_minimum_generates_the_same_class(self):
         # the minimum is itself a member, and using it as base changes nothing
@@ -202,6 +222,22 @@ class TestMerge:
         for _ in range(100):
             x, z = rng.choice(pool), rng.choice(pool)
             assert merge(x, z, 50).merge_time == merge(z, x, 50).merge_time
+
+    def test_meet_and_merge_find_the_brute_first_meeting(self):
+        # merge steps two orbits; _meet reads one against a stored trajectory
+        # cut at 1.  Both must give the first level where the images agree.
+        pool = list(u0_range(1, 200))
+        paths = {x: [raw_iter(x, i) for i in range(61)] for x in pool}
+        for n in (0, 1, 2, 5, 20, 60):
+            for x in pool:
+                targets = _trajectory(x, n)
+                for z in pool:
+                    want = next(
+                        (i for i in range(n + 1) if paths[x][i] == paths[z][i]), None
+                    )
+                    assert _meet(z, targets, n) == want
+                    if n:
+                        assert merge(x, z, n).merge_time == want
 
     def test_merge_time_is_first_agreement(self):
         rng = random.Random(6)
@@ -287,6 +323,25 @@ class TestPartition:
                 coarse_index[z] = i
         for cell in fine:
             assert len({coarse_index[z] for z in cell.members}) == 1
+
+    def test_orbits_stop_stepping_at_one(self, monkeypatch):
+        # Every element of [1, 1000] reaches 1 within 130 steps, so level
+        # 10^4 costs no more than that; stepping 1 -> 1 on to 10^4 would
+        # take 3.3 million steps.
+        from collatzq import core
+
+        step = core._step
+        steps = 0
+
+        def counting(v):
+            nonlocal steps
+            steps += 1
+            return step(v)
+
+        monkeypatch.setattr(core, "_step", counting)
+        cells = partition_n(1000, 10**4)
+        assert steps < 10**5
+        assert [c.members for c in cells] == [list(u0_range(1, 1000))]
 
     def test_level_zero_is_discrete(self):
         cells = partition_n(100, 0)

@@ -108,5 +108,13 @@ class TestBudget:
         assert got == list(enumerate(accumulate(first_hit)))
 
     def test_deep_class_bfs_over_budget_raises(self):
-        with pytest.raises(ResourceLimitError, match="method 'scan'"):
-            class_n(7, 30_000, 100, method="bfs")
+        # The shallow levels' pruning bound has about 47_000 bits, so a
+        # level's room is charged in 64-bit words of it, not in nodes.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="method 'scan'"):
+                class_n(7, 30_000, 100, method="bfs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
