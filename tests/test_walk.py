@@ -108,7 +108,7 @@ class TestBudget:
         assert got == list(enumerate(accumulate(first_hit)))
 
     def test_deep_class_bfs_over_budget_raises(self):
-        # The shallow levels' pruning bound has about 47_000 bits, so a
+        # The shallow levels' pruning bound has about 17_500 bits, so a
         # level's room is charged in 64-bit words of it, not in nodes.
         tracemalloc.start()
         try:
