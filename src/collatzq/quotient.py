@@ -156,8 +156,9 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
     yield [z for z in level if z <= bound and z % 3]
     for depth in range(n):
         r = n - depth - 1  # backward levels remaining below the children
-        top = 3**r * (bound + 1) >> r  # z * 2^r <= 3^r * (bound + 1)
-        room = min(left, widest) // (top.bit_length() // 64 + 1)
+        cap = min(left, widest)
+        top, words = _pruning_bound(r, bound, cap, level)
+        room = cap // words
         nxt: list[int] = []
         for v in level:
             if v % 3 == 0:
@@ -171,12 +172,35 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
             if len(nxt) > room:
                 raise ResourceLimitError(
                     f"preimage-tree walk of level {n} within [1, {bound}] passed its "
-                    f"budget of {budget} nodes, at most {widest} per level; "
-                    f"method 'scan' computes the same class"
+                    f"budget at depth {depth + 1}: a node there is charged "
+                    f"{'' if room else 'at least '}{words} 64-bit words, so the level's "
+                    f"{cap} words hold {room} nodes; method 'scan' computes the same class"
                 )
         left -= len(nxt)
         level = nxt
         yield [z for z in level if z <= bound and z % 3]
+
+
+# A convergent of the continued fraction of log2(3) below it:
+# 2**176251 < 3**111202.
+_LOG2_3_BELOW = (176251, 111202)
+
+
+def _pruning_bound(r: int, bound: int, cap: int, level: list[int]) -> tuple[int, int]:
+    # (top, words) for the children of level, with r levels to go below them
+    # and cap words of room: top is 3**r * (bound + 1) >> r, and each child is
+    # charged words, the 64-bit words of top.  The power is built only when a
+    # node could fit the room or a child could be about as long as the power.
+    # Otherwise no node fits, and every child is below a power of 2 at most
+    # top, which stands in for it; words is then a lower bound, above cap.
+    # bit_length(3**r) is floor(r * log2(3)) + 1, and a product's bit length
+    # is its factors' sum or one less, so top has at least short bits.
+    short = max(r * _LOG2_3_BELOW[0] // _LOG2_3_BELOW[1] + (bound + 1).bit_length() - r, 0)
+    longest = max(map(int.bit_length, level), default=0) + 2  # a child's bits, at most
+    if cap > short // 64 or longest >= short:
+        top = 3**r * (bound + 1) >> r
+        return top, top.bit_length() // 64 + 1
+    return 1 << longest, short // 64 + 1
 
 
 def _walk_class(y: int, n: int, bound: int, floor: int = 0) -> list[int]:

@@ -16,7 +16,10 @@ Two layers:
   of processing order, so worker count never changes a reported number.
   Above 1 the sweep is sieved mod 2**16: most residue classes provably drop
   at a fixed step (Terras 1976), so only the surviving classes are iterated
-  and every other class is settled once per chunk.  From 1 the chunks
+  and every other class is settled once per chunk.  A survivor advances in
+  blocks of 8 parity steps read from a 256-entry table whenever no value in
+  the block can decide the report, and one exact step otherwise, so every
+  reported number is unchanged.  From 1 the chunks
   return each element's segment, and one ascending pass composes the
   segments into exact steps to 1.  An orbit cache takes no part in the
   sweep: afterwards it receives the record holders, each recomputed from
@@ -40,6 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import core, quotient
 from .core import _u0_count, u0_range
 from .errors import DomainError, ResourceLimitError
+from .jump import _jump_table, _survivor_outcome
 
 if TYPE_CHECKING:
     from .cache import OrbitCache
@@ -543,8 +547,8 @@ def _top_member(r: int, period: int, lo: int, hi: int) -> int:
 def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     # (count, steps_max, exc_max, cycles, truncated): the aggregate of
     # _segment_outcome over the elements of [lo, hi], lo > 1.  Only the
-    # survivors and the classes that drop beyond max_steps are iterated;
-    # every other class is settled whole.
+    # survivors and the classes that drop beyond max_steps are iterated, by
+    # _survivor_outcome; every other class is settled whole.
     lo, hi, max_steps = args
     survivors, classes = _sieve_table()
     bits, mod = _SIEVE_BITS, _SIEVE_MOD
@@ -555,7 +559,7 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     truncated: list[int] = []
     for x in (base + r for base in range(lo - lo % mod, hi + 1, mod) for r in residues):
         if lo <= x <= hi and x % 3:
-            kind, s, _, mx = _segment_outcome(x, max_steps)
+            kind, s, mx = _survivor_outcome(x, max_steps, exc_max)
             if kind == "drop":
                 steps_max = max(steps_max, s)
             elif kind == "cycle":
@@ -628,7 +632,8 @@ def verify_conjecture_range(
     not derivable from the range alone, so statistics are segment-local
     and the cache is left untouched; the residue classes mod
     2**16 that provably drop at a fixed step are then settled per class
-    instead of per element, with the same report.
+    instead of per element, and the rest jump 8 parity steps at a time
+    where no value skipped can change the report, with the same report.
 
     A sweep from 1 keeps per-element state, about 20 bytes per element; one
     that would need more than the machine's physical memory raises
@@ -653,7 +658,8 @@ def verify_conjecture_range(
         kernel = _sweep_chunk
     else:
         kernel = _sieve_chunk
-        _sieve_table()  # built before the pool forks, so workers inherit it
+        _sieve_table()  # both built before the pool forks, so workers inherit them
+        _jump_table()
 
     spans = _chunk_spans(lo, hi, workers)
     args = [(a, b, max_steps) for a, b in spans]

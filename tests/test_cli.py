@@ -227,6 +227,24 @@ class TestExitCodes:
         assert err.startswith("collatzq: error: preimage-tree walk of level 60")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n, charge, room", [
+        # 3**29999 * 101 >> 29999 has 17555 bits: 275 words a node.
+        ("30000", "275", 238),
+        # Not one node fits, so the pruning bound is never built, only
+        # bounded below.
+        ("10000000", "at least 91401", 0),
+    ])
+    def test_class_bfs_budget_message_says_what_was_charged(self, capsys, n, charge, room):
+        code, out, err = run_cli(capsys, "class", "7", "--n", n, "--bound", "100",
+                                 "--method", "bfs")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"collatzq: error: preimage-tree walk of level {n} within [1, 100] passed its "
+            f"budget at depth 1: a node there is charged {charge} 64-bit words, so the "
+            f"level's 65570 words hold {room} nodes; method 'scan' computes the same class\n"
+        )
+
     @pytest.mark.parametrize("cached", [False, True])
     def test_resource_error_oversized_prefix_sweep(self, capsys, tmp_path, cached):
         argv = ["verify", "range", "--from", "1", "--to", str(10**15), "--jobs", "2"]

@@ -18,6 +18,7 @@ from collatzq import (
     verify_conjecture_range,
 )
 from collatzq import core
+from collatzq import jump as jump_mod
 from collatzq import verify as verify_mod
 
 
@@ -531,14 +532,85 @@ class TestResidueSieve:
         table = verify_mod._sieve_table()
         lo = 2**64
         x = next(lo + r for r in table.survivors if (lo + r) % 3)
-        real = verify_mod._segment_outcome
+        real = verify_mod._survivor_outcome
 
-        def fake(z, max_steps):
+        def fake(z, max_steps, peak):
             if z == x:
-                return ("cycle", 4, x, 99)
-            return real(z, max_steps)
+                return ("cycle", 4, max(peak, 99))
+            return real(z, max_steps, peak)
 
-        monkeypatch.setattr(verify_mod, "_segment_outcome", fake)
+        monkeypatch.setattr(verify_mod, "_survivor_outcome", fake)
         report = verify_conjecture_range(lo, lo + 1_000, workers=1)
         assert report.cycles_found == [x]
         assert not report.all_reach_one
+
+
+def t1_by_division(n):
+    """(3n+1)/2 for odd n, n/2 for even n, deciding parity by trial division."""
+    return (3 * n + 1) // 2 if n % 2 == 1 else n // 2
+
+
+class TestJumpKernel:
+    """The k = 8 jump table and the survivor kernel against _segment_outcome."""
+
+    # The first prototype of the kernel tested for a drop only after the
+    # next step, not right after a jump's halvings: 22 steps instead of 21.
+    TRAP = 1_000_000_000_031
+
+    def test_table_against_trial_division(self):
+        # Each entry from two members 256*a + b, a = 0 and a = big: the j-th
+        # T1 image is mul_j * a + add_j, so the pair gives mul_j and add_j.
+        table = jump_mod._jump_table()
+        big = 2**64 + 12_345
+        assert len(table) == 256
+        for b, entry in enumerate(table):
+            small, large = b, big * 256 + b
+            muls, adds, odd = [], [], 0
+            for j in range(1, 9):
+                odd += small % 2
+                small, large = t1_by_division(small), t1_by_division(large)
+                mul, rest = divmod(large - small, big)
+                assert rest == 0 and mul == 3**odd * 2 ** (8 - j), (b, j)
+                muls.append(mul)
+                adds.append(small)
+            assert entry == (3**odd, adds[-1], odd, min(muls), max(muls), min(adds), max(adds))
+
+    @pytest.mark.parametrize("max_steps", [*range(1, 26), 10_000])
+    def test_trap(self, max_steps):
+        x = self.TRAP
+        assert x % verify_mod._SIEVE_MOD in verify_mod._sieve_table().survivors
+        assert verify_mod._segment_outcome(x, 10_000)[:2] == ("drop", 21)
+        kind, s, _, mx = verify_mod._segment_outcome(x, max_steps)
+        for peak in (0, x, 10**15, 2**200):
+            assert jump_mod._survivor_outcome(x, max_steps, peak) == (kind, s, max(peak, mx))
+        # Earlier survivors of the window raise the peak, so x's blocks jump.
+        lo, hi = x - 3_000, x + 100
+        assert verify_conjecture_range(lo, hi, max_steps) == per_element_report(lo, hi, max_steps)
+
+    def test_first_survivor_sets_the_peak(self):
+        # The window's largest segment peak is its first element's, a
+        # survivor that starts with the chunk's peak at 0: every block it
+        # could jump would hide a rise of the peak.
+        lo, hi = 8_823_613_244_095, 8_823_613_246_095
+        assert lo % verify_mod._SIEVE_MOD in verify_mod._sieve_table().survivors
+        want = per_element_report(lo, hi, 10_000)
+        assert want.max_excursion_observed == verify_mod._segment_outcome(lo, 10_000)[3]
+        assert want.max_excursion_observed > 1_000 * lo
+        assert verify_conjecture_range(lo, hi) == want
+
+    def test_matches_segment_outcome(self):
+        rng = random.Random(13)
+        for _ in range(3_000):
+            x = rng.choice([rng.randrange(2, 10**6), rng.randrange(10**12, 10**13),
+                            rng.randrange(2**64, 2**66)]) | 1
+            max_steps = rng.choice([rng.randrange(1, 40), 10_000])
+            kind, s, _, mx = verify_mod._segment_outcome(x, max_steps)
+            peak = rng.choice([0, x, mx - 1, mx, rng.randrange(x, 1_000 * x), 2**300])
+            got = jump_mod._survivor_outcome(x, max_steps, peak)
+            assert got == (kind, s, max(peak, mx)), (x, max_steps, peak)
+
+    @pytest.mark.parametrize("peak", [0, 1, 2, 10**6])
+    def test_trivial_cycle_found_at_its_step(self, peak):
+        # 1 -> 1 is the one cycle the kernel can meet without a fake: every
+        # block from 1 holds 1 again, so the block must not be jumped.
+        assert jump_mod._survivor_outcome(1, 10_000, peak) == ("cycle", 1, max(peak, 1))

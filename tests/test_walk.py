@@ -1,5 +1,6 @@
 """The preimage-tree walker against the forward scans it replaces, and its budget."""
 
+import random
 import tracemalloc
 from itertools import accumulate
 
@@ -118,3 +119,41 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_deepest_class_bfs_raises_before_building_the_bound(self):
+        # 3**(10**7 - 1) alone takes seconds and 2 MB; no node of its
+        # 91_401 words fits the 65_570 words of a level, so it is not built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="hold 0 nodes"):
+                class_n(7, 10**7, 100, method="bfs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+class TestPruningBound:
+    def test_convergent_is_below_log2_3(self):
+        p, q = quotient_mod._LOG2_3_BELOW
+        assert 2**p < 3**q
+
+    def test_room_and_comparisons_match_the_built_power(self):
+        # Over a grid of (r, bound, cap, level), the room from the bit-length
+        # bound equals the room from the built power, and a stand-in compares
+        # with every child as the power does.
+        rng = random.Random(7)
+        rs = [0, 1, 2, 3, 40, 63, 64, 65, 110, 111, 1_000, 29_999] + rng.sample(range(30_000), 20)
+        for r in rs:
+            for bound in (1, 2, 100, 10**6, 2**64 + 3):
+                top = 3**r * (bound + 1) >> r
+                words = top.bit_length() // 64 + 1
+                for cap in {0, 1, words - 1, words, words + 1, 65_570}:
+                    for longest in (1, 5, 10**6, max(top // 8, 1), top, 4 * top + 3):
+                        level = [1, longest]
+                        got_top, got_words = quotient_mod._pruning_bound(r, bound, cap, level)
+                        assert cap // got_words == cap // words, (r, bound, cap)
+                        if got_top != top:
+                            assert got_words > cap
+                            children = [5, (4 * longest - 1) // 3, (2 * longest - 1) // 3]
+                            assert all((z <= got_top) == (z <= top) for z in children)
