@@ -70,6 +70,12 @@ _CASES = [
                            "--to", str(2**64 + 300)], None),
     ("verify-range-truncated", ["verify", "range", "--from", "1", "--to", "100",
                                 "--max-steps", "5"], None),
+    # Above 1 with max_steps 9: classes that drop at step 10 and every
+    # survivor are truncated; and a window wider than the sieve's 2**16.
+    ("verify-range-above-truncated", ["verify", "range", "--from", "1000000000000",
+                                      "--to", "1000000003000", "--max-steps", "9"], None),
+    ("verify-range-above-wide", ["verify", "range", "--from", "1000000000000",
+                                 "--to", "1000000100000"], None),
     ("orbit-cold", ["orbit", "27"], "cold"),
     ("orbit-warm", ["orbit", "27"], "warm"),
     ("orbit-trace-warm", ["orbit", "7", "--trace"], "warm"),
