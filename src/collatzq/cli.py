@@ -445,26 +445,25 @@ def _csv_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _flatten(value, prefix, rows):
-    # An empty list or dict is a row of its own ("[]" or "{}"), so a reader
-    # can tell an empty container from a missing key.
+def _flatten(value, prefix):
+    # Yields the (key, value) rows one at a time.  An empty list or dict is
+    # a row of its own ("[]" or "{}"), so a reader can tell an empty
+    # container from a missing key.
     if isinstance(value, dict) and value:
         for k, v in value.items():
-            _flatten(v, f"{prefix}.{k}" if prefix else str(k), rows)
+            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
     elif isinstance(value, list) and value:
         for i, v in enumerate(value):
-            _flatten(v, f"{prefix}.{i}", rows)
+            yield from _flatten(v, f"{prefix}.{i}")
     else:
-        rows.append((prefix, _csv_scalar(value)))
+        yield (prefix, _csv_scalar(value))
 
 
 def _emit_csv(env) -> str:
-    rows: list[tuple[str, str]] = []
-    _flatten(env, "", rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
-    writer.writerows(rows)
+    writer.writerows(_flatten(env, ""))
     return buf.getvalue()
 
 

@@ -14,16 +14,17 @@ Two layers:
   prefix below ``lo`` (a preceding pass, or nothing when lo == 1) a simple
   induction gives the full claim, and the per-element work is independent
   of processing order, so worker count never changes a reported number.
-  Above 1 the sweep is sieved mod 2**16: most residue classes provably drop
-  at a fixed step (Terras 1976), so only the surviving classes are iterated
-  and every other class is settled once per chunk.  A survivor advances in
-  blocks of 8 parity steps read from a 256-entry table whenever no value in
-  the block can decide the report, and one exact step otherwise, so every
-  reported number is unchanged.  From 1 the chunks
-  return each element's segment, and one ascending pass composes the
-  segments into exact steps to 1.  An orbit cache takes no part in the
-  sweep: afterwards it receives the record holders, each recomputed from
-  its full orbit, and any record it already holds for them must agree.
+  Above 1 the sweep is sieved by Terras's (1976) stopping-time classes mod
+  2**j, j <= 16: every member drops at its class's step, so each class is
+  settled once per chunk and only the survivors are iterated.  A survivor
+  advances in blocks of 8 parity steps read from a 256-entry table whenever
+  no value in the block can decide the report, and one exact step
+  otherwise; ``jump`` builds both tables from one parity entry, and every
+  reported number is unchanged.  From 1 the chunks return each element's
+  segment, and one ascending pass composes the segments into exact steps
+  to 1.  An orbit cache takes no part in the sweep: afterwards it receives
+  the record holders, each recomputed from its full orbit, and any record
+  it already holds for them must agree.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -31,19 +32,18 @@ reported loudly in the output record, never folded into other outcomes.
 
 from __future__ import annotations
 
-import functools
 import os
 import random
 import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import core, quotient
 from .core import _u0_count, u0_range
 from .errors import DomainError, ResourceLimitError
-from .jump import _jump_table, _survivor_outcome
+from .jump import _SIEVE_MOD, _jump_table, _sieve_table, _survivor_outcome
 
 if TYPE_CHECKING:
     from .cache import OrbitCache
@@ -485,54 +485,6 @@ def _sweep_chunk(args: tuple[int, int, int]) -> tuple:
     return (segs, drops, climbs)
 
 
-# Residue sieve for lo > 1 (Terras 1976).  The x whose first s steps halve
-# a fixed number of times each form one class mod a power of 2, on which
-# T^s(x) = (a*x + b) >> e with a = 3**s and one b and e.  Once 2**e > a,
-# every member above b // (2**e - a) has dropped below itself at step s,
-# and every earlier value was above x and grows with x.  Refining these
-# classes down to modulus 2**k sorts each odd residue mod 2**k into a class
-# that drops, or leaves it a survivor.  For k = 16 the largest threshold
-# b // (2**e - a) is 24 and the only member at or below its class's
-# threshold is 1, so in a window above 1 every class member drops at the
-# class's step.
-
-_SIEVE_BITS = 16
-_SIEVE_MOD = 1 << _SIEVE_BITS
-
-
-class _SieveTable(NamedTuple):
-    survivors: tuple[int, ...]  # odd residues mod 2**k whose drop is undecided
-    # The dropping classes x = r (mod period), period <= 2**k, as
-    # (mul, add, s, r, period): each member above 1 drops at step s, and its
-    # peak is at most (mul*x + add) >> k.  mul descending.
-    classes: tuple[tuple[int, int, int, int, int], ...]
-
-
-@functools.cache
-def _sieve_table() -> _SieveTable:
-    """The sieve mod 2**_SIEVE_BITS, built once per process on first use."""
-    bits, mod = _SIEVE_BITS, _SIEVE_MOD
-    survivors: list[int] = []
-    classes: list[tuple[int, int, int, int, int]] = []
-    stack = [(1, 0, 0, 0, mod, 0)]  # (a, b, e, s, mul, add) of an undecided class
-    while stack:
-        a, b, e, s, m, c = stack.pop()
-        a, b, s = 3 * a, 3 * b + (1 << e), s + 1
-        inv = pow(a, -1, mod)
-        for f in range(e + 1, bits + 1):
-            # The members with f halvings in all after s steps solve
-            # a*x + b = 2**f (mod 2**(f+1)); f == bits means bits or more.
-            period = min(2 << f, mod)
-            r = ((1 << f) - b) * inv % period
-            if 1 << f > a:
-                classes.append((m, c, s, r, period))
-            elif f == bits:
-                survivors.append(r)
-            else:
-                stack.append((a, b, f, s, max(m, a << (bits - f)), max(c, b << (bits - f))))
-    return _SieveTable(tuple(sorted(survivors)), tuple(sorted(classes, reverse=True)))
-
-
 def _top_member(r: int, period: int, lo: int, hi: int) -> int:
     """The largest x = r (mod period) in [lo, hi] with x % 3 != 0, or 0.
 
@@ -551,7 +503,7 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     # _survivor_outcome; every other class is settled whole.
     lo, hi, max_steps = args
     survivors, classes = _sieve_table()
-    bits, mod = _SIEVE_BITS, _SIEVE_MOD
+    mod = _SIEVE_MOD
     residues = [*survivors, *chain.from_iterable(
         range(r, mod, period) for _, _, s, r, period in classes if s > max_steps)]
     steps_max = exc_max = 0
@@ -568,11 +520,11 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
                 truncated.append(x)
             exc_max = max(exc_max, mx)
 
-    for m, c, s, r, period in classes:
+    for hi_mul, hi_add, s, r, period in classes:
         if s <= max_steps and (x := _top_member(r, period, lo, hi)):
             steps_max = max(steps_max, s)
-            if (m * x + c) >> bits > exc_max:
-                exc_max = max(exc_max, _segment_outcome(x, max_steps)[3])
+            if hi_mul * (x // period) + hi_add > exc_max:
+                exc_max = _survivor_outcome(x, max_steps, exc_max)[2]
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 
@@ -630,10 +582,10 @@ def verify_conjecture_range(
     core.orbit, checked against the composed total and stored; a cached
     record that disagrees raises CacheError.  For lo > 1 exact totals are
     not derivable from the range alone, so statistics are segment-local
-    and the cache is left untouched; the residue classes mod
-    2**16 that provably drop at a fixed step are then settled per class
-    instead of per element, and the rest jump 8 parity steps at a time
-    where no value skipped can change the report, with the same report.
+    and the cache is left untouched; the residue classes mod 2**j, j <= 16,
+    that provably drop at a fixed step are then settled per class instead
+    of per element, and the rest jump 8 parity steps at a time where no
+    value skipped can change the report, with the same report.
 
     A sweep from 1 keeps per-element state, about 20 bytes per element; one
     that would need more than the machine's physical memory raises

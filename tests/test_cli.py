@@ -155,6 +155,24 @@ class TestEnvelope:
         assert got == want
         assert peak < 3 * len(want)
 
+    def test_csv_rows_are_streamed(self):
+        # A census envelope of 10^4 rows: a list of every (key, value) row
+        # beside the text would hold about 10 times the text.
+        import tracemalloc
+
+        rows = [{"level": n, "count": 3 * n} for n in range(10**4)]
+        env = {"command": "census", "parameters": {"n_max": 10**4 - 1, "bound": 100},
+               "result": {"counts": rows}, "timing": 0.5}
+        want = "key,value\n" + "".join(f"{k},{v}\n" for k, v in cli_mod._flatten(env, ""))
+        tracemalloc.start()
+        try:
+            got = cli_mod._emit_csv(env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 6 * len(want)
+
     def test_envelope_shape(self, capsys):
         _, env, _ = run_json(capsys, "merge", "7", "17", "--cap", "100")
         assert list(env.keys()) == ["command", "parameters", "result", "timing"]
@@ -175,9 +193,7 @@ class TestEnvelope:
         for line in lines[1:]:
             key, value = line.split(",", 1)
             rows[key] = value
-        flat: list[tuple[str, str]] = []
-        cli_mod._flatten(env, "", flat)
-        for key, value in flat:
+        for key, value in cli_mod._flatten(env, ""):
             if key == "timing":
                 continue
             assert rows[key] == value

@@ -497,9 +497,24 @@ class TestResidueSieve:
     def test_sixteen_bits_leave_2114_survivors(self):
         table = verify_mod._sieve_table()
         assert len(table.survivors) == 2114
+        assert len(table.classes) == 790
         sieved = [r for _, _, _, r0, period in table.classes for r in range(r0, self.MOD, period)]
         assert len(sieved) == len(set(sieved)) == self.MOD // 2 - 2114
         assert sorted(sieved + list(table.survivors)) == list(range(1, self.MOD, 2))
+
+    def test_sieve_is_the_stopping_time_tree(self):
+        # A class r mod 2**j is where 3**c_i(r) < 2**i first holds, at i = j,
+        # with the bounds of _entry(r, j); a survivor has 3**c_i > 2**i for
+        # every i <= 16.
+        table = verify_mod._sieve_table()
+        for mul, add, s, r, period in table.classes:
+            j = period.bit_length() - 1
+            entry = jump_mod._entry(r, j)
+            assert r < period and entry[0] < period
+            assert (mul, add, s) == (entry[4], entry[6], entry[2])
+            assert all(jump_mod._entry(r % 2**i, i)[0] > 2**i for i in range(1, j))
+        for r in table.survivors:
+            assert all(jump_mod._entry(r % 2**i, i)[0] > 2**i for i in range(1, 17))
 
     def test_sieved_members_drop_at_the_class_step(self):
         # Every odd x in (1, 2**17), which holds every member at or below a
@@ -514,7 +529,7 @@ class TestResidueSieve:
             for x in members + [big + r0]:
                 seg = segment_by_division(x, 20)
                 assert seg is not None and seg[0] == s, (x, s, seg)
-                assert seg[1] <= (mul * x + add) >> 16
+                assert seg[1] <= mul * (x // period) + add
         for x in table.survivors:
             assert segment_by_division(x + big, 10) is None
 
@@ -574,6 +589,26 @@ class TestJumpKernel:
                 muls.append(mul)
                 adds.append(small)
             assert entry == (3**odd, adds[-1], odd, min(muls), max(muls), min(adds), max(adds))
+
+    def test_entry_against_trial_division(self):
+        # _entry(b, j) for every b < 2**j with j <= 8 and for random b with j
+        # up to 16, from two members 2**j*a + b, a = 0 and a = big.
+        rng = random.Random(14)
+        big = 2**64 + 12_345
+        cases = [(b, j) for j in range(1, 9) for b in range(1 << j)]
+        cases += [(rng.randrange(1 << j), j) for j in range(9, 17) for _ in range(100)]
+        for b, j in cases:
+            small, large = b, (big << j) + b
+            muls, adds, odd = [], [], 0
+            for i in range(1, j + 1):
+                odd += small % 2
+                small, large = t1_by_division(small), t1_by_division(large)
+                mul, rest = divmod(large - small, big)
+                assert rest == 0 and mul == 3**odd * 2 ** (j - i), (b, j, i)
+                muls.append(mul)
+                adds.append(small)
+            want = (3**odd, adds[-1], odd, min(muls), max(muls), min(adds), max(adds))
+            assert jump_mod._entry(b, j) == want, (b, j)
 
     @pytest.mark.parametrize("max_steps", [*range(1, 26), 10_000])
     def test_trap(self, max_steps):
