@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import _meet, _require_u0, iterate, nu2, tau, u0_range
+from .core import _require_u0, _trajectory, iterate, nu2, tau, u0_range
 from .errors import DomainError, ResourceLimitError
-from .quotient import ClassWindow, _walk, class_inf, class_n, delta_sequence
+from .quotient import ClassWindow, _meets, _walk, class_inf, delta_sequence
 
 __all__ = [
     "BookkeepingWindow",
@@ -79,8 +79,8 @@ def class_matrices(
     """Build the class and minima rectangle for base x.
 
     Minima come from the exact level scan (via delta_sequence, which also
-    caps each scan at the previous level's minimum); class cells use the
-    windowed scan with the given bound.
+    caps each scan at the previous level's minimum); each row's class cells
+    come from one windowed scan with the given bound.
     """
     _require_u0(x)
     if not (k_min <= 0 <= k_max):
@@ -95,8 +95,12 @@ def class_matrices(
     for k in range(k_min, k_max + 1):
         base_k = iterate(x, k)
         row = delta_sequence(base_k, n_max).values
+        # Orbits that meet stay together, so the level-n cell is the z that
+        # meet the base's orbit by level n: one scan fills the whole row.
+        met = list(_meets(_trajectory(base_k, n_max), n_max, bound))
         for n in range(n_max + 1):
-            cells[(k, n)] = class_n(base_k, n, bound, method="scan")
+            cells[(k, n)] = ClassWindow(base=base_k, level=n, bound=bound,
+                                        members=[z for z, i in met if i <= n])
             minima[(k, n)] = row[n]
         s = n_max
         while s > 0 and row[s - 1] == row[n_max]:
@@ -203,8 +207,6 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
 def _census_scan(n_max: int, bound: int) -> list[int]:
     # First-hit counts per level by iterating every window element forward.
     first_hit = [0] * (n_max + 1)
-    for z in u0_range(1, bound):
-        i = _meet(z, [1], n_max)
-        if i is not None:
-            first_hit[i] += 1
+    for _, i in _meets([1], n_max, bound):
+        first_hit[i] += 1
     return first_hit

@@ -16,6 +16,7 @@ non-equivalent, it just stops the window from being certified complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .core import _iterate, _meet, _require_u0, _step, _trajectory, _u0_count, tau, u0_range
@@ -85,10 +86,19 @@ class MergeResult:
     cap: int
 
 
+def _meets(targets: list[int], n: int, bound: int) -> Iterator[tuple[int, int]]:
+    # (z, i) for each z in [1, bound], ascending, whose orbit meets targets (a
+    # base's trajectory) by level n, i the first level at which it does.
+    for z in u0_range(1, bound):
+        i = _meet(z, targets, n)
+        if i is not None:
+            yield z, i
+
+
 def _level_min(targets: list[int], n: int, upto: int) -> int:
-    # The smallest element meeting targets (the base's trajectory) by level n,
-    # scanning upward from 1; upto is one, so the scan ends there at the latest.
-    return next((z for z in u0_range(1, upto - 1) if _meet(z, targets, n) is not None), upto)
+    # The smallest element meeting targets by level n; upto is one, so the
+    # scan ends there at the latest.
+    return next((z for z, _ in _meets(targets, n, upto - 1)), upto)
 
 
 def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
@@ -111,17 +121,12 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     if method == "scan":
-        members = _class_scan(x, n, bound)
+        members = [z for z, _ in _meets(_trajectory(x, n), n, bound)]
     elif method == "bfs":
         members = sorted(_walk_class(_iterate(x, n), n, bound, _BFS_FLOOR))
     else:
         raise DomainError(f"unknown method {method!r}, expected 'scan' or 'bfs'")
     return ClassWindow(base=x, level=n, bound=bound, members=members)
-
-
-def _class_scan(x: int, n: int, bound: int) -> list[int]:
-    targets = _trajectory(x, n)
-    return [z for z in u0_range(1, bound) if _meet(z, targets, n) is not None]
 
 
 # Nodes a bfs walk may append beyond the forward scan's cost, so that small
@@ -298,7 +303,7 @@ def class_inf(x: int, bound: int, cap: int) -> ClassWindow:
         raise DomainError(f"cap must be >= 1, got {cap}")
     # Orbits that merge stay merged, so merging within cap steps is equality
     # at level cap; the window is exact when every candidate is a member.
-    members = _class_scan(x, cap, bound)
+    members = [z for z, _ in _meets(_trajectory(x, cap), cap, bound)]
     return ClassWindow(base=x, level=None, bound=bound, members=members,
                        exact_within_bound=len(members) == _u0_count(1, bound))
 
@@ -354,13 +359,7 @@ def strict_inclusion_witness(x: int, n: int, search_cap: int = 10**6) -> int:
     target = 4 * _iterate(x, n) + 1
     if target % 3 == 0:
         target = 4 * target + 1
-    z = target
-    if z > search_cap:
-        raise ResourceLimitError(
-            f"witness construction for x={x}, n={n} exceeded search_cap={search_cap}"
-        )
-    for _ in range(n):
-        z = tau(z)
+    for z in accumulate(range(n), lambda z, _: tau(z), initial=target):
         if z > search_cap:
             raise ResourceLimitError(
                 f"witness construction for x={x}, n={n} exceeded search_cap={search_cap}"

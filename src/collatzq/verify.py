@@ -108,6 +108,17 @@ def _raw_iter(v: int, n: int) -> int:
     return v
 
 
+def _preimage_table(zs, ymax: int) -> dict[int, list[int]]:
+    # The z of zs grouped by their image, for images up to ymax; each group
+    # keeps the order of zs, so from an ascending zs its minimum comes first.
+    table: dict[int, list[int]] = {}
+    for z in zs:
+        y = _raw_step(z)
+        if y <= ymax:
+            table.setdefault(y, []).append(z)
+    return table
+
+
 def _draw_u0(rng: random.Random, lo: int, hi: int) -> int:
     while True:
         z = rng.randrange(lo, hi + 1)
@@ -159,18 +170,13 @@ def _check_shift_closed_form(bound, n_cap, rng):
 def _check_min_preimage(bound, n_cap, rng):
     # Grouped forward pass: ascending odd z, first hit per image is the
     # brute-force minimal preimage.
-    zmax = (4 * bound) // 3 + 1
-    mins: dict[int, int] = {}
-    for z in range(1, zmax + 1, 2):
-        y = _raw_step(z)
-        if y <= bound and y not in mins:
-            mins[y] = z
+    brute = _preimage_table(range(1, (4 * bound) // 3 + 2, 2), bound)
     fails = []
     inst = 0
     for y in u0_range(1, bound):
         inst += 1
         got = core.xi(y)
-        want = mins.get(y)
+        want = brute[y][0] if y in brute else None
         if got != want:
             fails.append({"y": y, "xi": got, "brute_min": want})
     return f"restricted domain in [1, {bound}]", inst, fails
@@ -178,11 +184,7 @@ def _check_min_preimage(bound, n_cap, rng):
 
 def _check_preimage_sets(bound, n_cap, rng):
     pbound = 4 * bound
-    brute: dict[int, list[int]] = {}
-    for z in range(1, pbound + 1, 2):
-        y = _raw_step(z)
-        if y <= bound:
-            brute.setdefault(y, []).append(z)
+    brute = _preimage_table(range(1, pbound + 1, 2), bound)
     fails = []
     inst = 0
     for y in u0_range(1, bound):
@@ -203,11 +205,7 @@ def _check_preimage_sets(bound, n_cap, rng):
 def _check_surjectivity(bound, n_cap, rng):
     # Pure coverage: forward images of restricted-domain elements must hit
     # every window element (no inverse formulas involved).
-    covered: set[int] = set()
-    for z in u0_range(1, 6 * bound):
-        y = _raw_step(z)
-        if y <= bound:
-            covered.add(y)
+    covered = _preimage_table(u0_range(1, 6 * bound), bound)
     fails = []
     inst = 0
     for y in u0_range(1, bound):
@@ -220,20 +218,16 @@ def _check_surjectivity(bound, n_cap, rng):
 def _check_quasi_inverse(bound, n_cap, rng):
     # tau is a right inverse, stays in the restricted domain, and is the
     # *minimal* restricted preimage (brute minimum from a forward pass).
-    zmax = (16 * bound) // 3 + 2
-    mins: dict[int, int] = {}
-    for z in u0_range(1, zmax):
-        y = _raw_step(z)
-        if y <= bound and y not in mins:
-            mins[y] = z
+    brute = _preimage_table(u0_range(1, (16 * bound) // 3 + 2), bound)
     fails = []
     inst = 0
     for y in u0_range(1, bound):
         inst += 1
         t = core.tau(y)
-        if core.collatz_step(t) != y or t % 3 == 0 or t != mins.get(y):
+        want = brute[y][0] if y in brute else None
+        if core.collatz_step(t) != y or t % 3 == 0 or t != want:
             fails.append({"y": y, "tau": t, "step_of_tau": core.collatz_step(t),
-                          "brute_min_u0": mins.get(y)})
+                          "brute_min_u0": want})
     return f"restricted domain in [1, {bound}]", inst, fails
 
 
@@ -353,16 +347,13 @@ def _check_induced_map(bound, n_cap, rng):
 
 def _check_delta_one(bound, n_cap, rng):
     # Exhaustive: the level-1 minimum (grouped brute force) is tau of the image.
-    mins: dict[int, int] = {}
-    for z in u0_range(1, bound):
-        y = _raw_step(z)
-        if y not in mins:
-            mins[y] = z
+    # An image of z <= bound is at most (3 * bound + 1) / 2, so none is dropped.
+    brute = _preimage_table(u0_range(1, bound), 2 * bound)
     fails = []
     inst = 0
     for x in u0_range(1, bound):
         inst += 1
-        want = mins[_raw_step(x)]
+        want = brute[_raw_step(x)][0]
         got = core.tau(core.collatz_step(x))
         if got != want:
             fails.append({"x": x, "tau_of_step": got, "brute_level1_min": want})
@@ -370,8 +361,9 @@ def _check_delta_one(bound, n_cap, rng):
         x = _draw_u0(rng, 1, bound)
         inst += 1
         d = quotient.delta_n(x, 1)
-        if d != mins[_raw_step(x)]:
-            fails.append({"x": x, "delta_1": d, "brute_level1_min": mins[_raw_step(x)]})
+        want = brute[_raw_step(x)][0]
+        if d != want:
+            fails.append({"x": x, "delta_1": d, "brute_level1_min": want})
     return f"restricted domain in [1, {bound}] plus 40 sampled delta_n calls", inst, fails
 
 

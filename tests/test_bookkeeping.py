@@ -38,11 +38,19 @@ class TestClassMatrices:
         assert window.delta_star_window == min(window.minima.values())
 
     def test_cells_match_class_n(self):
-        window = class_matrices(7, k_min=0, k_max=2, n_max=3, bound=500)
-        for k in range(3):
+        # class_n's scan and the matrix rows share one helper, so each cell is
+        # also checked against forward iteration by trial division.
+        bound, n_max = 500, 12
+        window = class_matrices(7, k_min=-1, k_max=2, n_max=n_max, bound=bound)
+        for k in range(-1, 3):
             base = iterate(7, k)
-            for n in range(4):
-                assert window.class_cells[(k, n)].members == class_n(base, n, 500).members
+            for n in range(n_max + 1):
+                cell = window.class_cells[(k, n)]
+                assert (cell.base, cell.level, cell.bound) == (base, n, bound)
+                assert cell.members == class_n(base, n, bound).members
+                image = raw_iter(base, n)
+                want = [z for z in u0_range(1, bound) if raw_iter(z, n) == image]
+                assert cell.members == want
 
     def test_minima_match_delta_sequence(self):
         window = class_matrices(25, k_min=-2, k_max=2, n_max=6, bound=2_000)

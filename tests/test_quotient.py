@@ -291,6 +291,9 @@ class TestWitness:
     def test_search_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
             strict_inclusion_witness(7, 1, search_cap=10)
+        # The chain 5, 13, 17, 11 passes the cap only at the intermediate 17.
+        with pytest.raises(ResourceLimitError):
+            strict_inclusion_witness(1, 3, search_cap=16)
 
     def test_witness_in_window_class(self):
         x, n = 7, 1
