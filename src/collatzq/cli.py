@@ -12,10 +12,10 @@ counts, seeds) are plain integers.  Handlers return plain Python values, and
 the rule is applied once, by ``_encode``, to the keys named in
 ``_NUMBER_KEYS``.
 
-Exit status: 0 success; 1 usage error; 2 domain, resource, or cache error;
-3 mathematical finding (a cycle, a lemma failure, a sufficient-set
-violation, or a range that could not be fully verified); 4 internal error
-(a defect in collatzq, reported in one line).
+Exit status: 0 success; 1 usage error; 2 domain, resource (out of memory
+among them), or cache error; 3 mathematical finding (a cycle, a lemma
+failure, a sufficient-set violation, or a range that could not be fully
+verified); 4 internal error (a defect in collatzq, reported in one line).
 """
 
 from __future__ import annotations
@@ -48,73 +48,78 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    fmt = common.add_mutually_exclusive_group()
+    # Each option sits only on the commands that read it: the output format
+    # on every leaf command, the cache on the two that take one.  main
+    # attaches a cache exactly when the parsed namespace has a "cache".
+    output = argparse.ArgumentParser(add_help=False)
+    fmt = output.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON envelope output (default)")
     fmt.add_argument("--csv", action="store_true", help="flattened key,value CSV output")
-    common.add_argument("--cache", metavar="PATH",
+    cached = argparse.ArgumentParser(add_help=False, parents=[output])
+    cached.add_argument("--cache", metavar="PATH",
                         help="orbit cache file (overrides COLLATZ_CACHE)")
-    common.add_argument("--quiet", action="store_true",
+    cached.add_argument("--quiet", action="store_true",
                         help="suppress informational notices on stderr")
 
     parser = _Parser(prog="collatzq",
                      description="Accelerated Collatz map, quotient classes, and verification.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("orbit", parents=[common], help="forward trajectory of one element")
+    p = sub.add_parser("orbit", parents=[cached], help="forward trajectory of one element")
     p.add_argument("x", type=int)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--trace", action="store_true", help="include the full trajectory")
 
-    p = sub.add_parser("map", parents=[common], help="apply one map to one element")
+    p = sub.add_parser("map", parents=[output], help="apply one map to one element")
     p.add_argument("x", type=int)
     p.add_argument("--op", choices=["T", "S", "xi", "tau", "f"], default="T")
     p.add_argument("--k", type=int, default=None,
                    help="iteration count for S (>= 0) and f (signed)")
 
-    p = sub.add_parser("preimage", parents=[common], help="preimages of an element up to a bound")
+    p = sub.add_parser("preimage", parents=[output], help="preimages of an element up to a bound")
     p.add_argument("y", type=int)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--u0-only", action="store_true")
 
-    p = sub.add_parser("class", parents=[common], help="level-n equivalence class on a window")
+    p = sub.add_parser("class", parents=[output], help="level-n equivalence class on a window")
     p.add_argument("x", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--method", choices=["scan", "bfs"], default="scan")
 
-    p = sub.add_parser("class-inf", parents=[common], help="limit-level class on a window")
+    p = sub.add_parser("class-inf", parents=[output], help="limit-level class on a window")
     p.add_argument("x", type=int)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--cap", type=int, default=1_000)
 
-    p = sub.add_parser("delta", parents=[common], help="minimal class element at one or many levels")
+    p = sub.add_parser("delta", parents=[output], help="minimal class element at one or many levels")
     p.add_argument("x", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--n", type=int, default=None)
     mode.add_argument("--sequence", action="store_true")
-    p.add_argument("--max-n", type=int, default=10, help="last level for --sequence")
+    p.add_argument("--max-n", type=int, default=None,
+                   help="last level for --sequence (default 10)")
 
-    p = sub.add_parser("merge", parents=[common], help="first level at which two elements merge")
+    p = sub.add_parser("merge", parents=[output], help="first level at which two elements merge")
     p.add_argument("x", type=int)
     p.add_argument("z", type=int)
     p.add_argument("--cap", type=int, default=1_000)
 
-    p = sub.add_parser("tstar", parents=[common], help="induced map on minimal representatives")
+    p = sub.add_parser("tstar", parents=[output], help="induced map on minimal representatives")
     p.add_argument("x", type=int)
     p.add_argument("--cap", type=int, default=1_000)
 
-    p = sub.add_parser("partition", parents=[common], help="level-n partition of a window")
+    p = sub.add_parser("partition", parents=[output], help="level-n partition of a window")
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[output],
                        help="element separating consecutive levels")
     p.add_argument("x", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--search-cap", type=int, default=10**6)
 
-    p = sub.add_parser("matrix", parents=[common],
+    p = sub.add_parser("matrix", parents=[output],
                        help="bookkeeping window: classes and minima around a base")
     p.add_argument("x", type=int)
     p.add_argument("--k-min", type=int, default=-3)
@@ -122,30 +127,30 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--bound", type=int, default=10_000)
 
-    p = sub.add_parser("census", parents=[common], help="class-of-one growth per level")
+    p = sub.add_parser("census", parents=[output], help="class-of-one growth per level")
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--bound", type=int, default=10_000)
 
-    p = sub.add_parser("suffset", parents=[common], help="sufficient set check or membership")
+    p = sub.add_parser("suffset", parents=[output], help="sufficient set check or membership")
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--members", action="store_true")
 
-    p = sub.add_parser("appendix-class", parents=[common],
+    p = sub.add_parser("appendix-class", parents=[output],
                        help="union of limit-level classes along a two-sided orbit")
     p.add_argument("x", type=int)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--k-range", type=int, default=3)
     p.add_argument("--cap", type=int, default=1_000)
 
-    pv = sub.add_parser("verify", parents=[common], help="verification commands")
+    pv = sub.add_parser("verify", help="verification commands")
     vsub = pv.add_subparsers(dest="verify_mode", required=True, parser_class=_Parser)
 
-    p = vsub.add_parser("lemmas", parents=[common], help="run the lemma check suite")
+    p = vsub.add_parser("lemmas", parents=[output], help="run the lemma check suite")
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--n-cap", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
 
-    p = vsub.add_parser("range", parents=[common], help="verify a range reaches 1")
+    p = vsub.add_parser("range", parents=[cached], help="verify a range reaches 1")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -239,13 +244,16 @@ def _cmd_class_inf(ns, cache):
 def _cmd_delta(ns, cache):
     from . import quotient
     if ns.sequence:
-        params = {"x": ns.x, "sequence": True, "max_n": ns.max_n}
-        seq = quotient.delta_sequence(ns.x, ns.max_n)
+        max_n = 10 if ns.max_n is None else ns.max_n
+        params = {"x": ns.x, "sequence": True, "max_n": max_n}
+        seq = quotient.delta_sequence(ns.x, max_n)
         result = {
             "values": seq.values,
             "stabilization_index": seq.stabilization_index,
         }
         return params, result, 0
+    if ns.max_n is not None:
+        raise DomainError("--max-n applies only with --sequence")
     n = 1 if ns.n is None else ns.n
     params = {"x": ns.x, "n": n}
     return params, {"value": quotient.delta_n(ns.x, n)}, 0
@@ -417,8 +425,6 @@ _HANDLERS = {
     "verify range": _cmd_verify_range,
 }
 
-_CACHED_COMMANDS = {"orbit", "verify range"}
-
 
 def _resolve_cache(ns) -> OrbitCache | None:
     path = ns.cache or os.environ.get("COLLATZ_CACHE")
@@ -478,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
 
     command = ns.command if ns.command != "verify" else f"verify {ns.verify_mode}"
     try:
-        cache = _resolve_cache(ns) if command in _CACHED_COMMANDS else None
+        cache = _resolve_cache(ns) if "cache" in ns else None
         start = time.perf_counter()
         params, result, code = _HANDLERS[command](ns, cache)
         # Rebinding frees the plain values before the envelope is serialized.
@@ -497,6 +503,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CacheError as exc:
         print(f"collatzq: cache error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # A resource error, not a defect; its message is usually empty.
+        print("collatzq: error: out of memory", file=sys.stderr)
         return 2
     except Exception as exc:
         # A defect, not a usage error: one line and an exit code of its own.

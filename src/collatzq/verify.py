@@ -305,25 +305,30 @@ def _check_class_images(bound, n_cap, rng):
     return f"10 sampled (x, n) against the window [1, {win}]", inst, fails
 
 
+def _step_compat_failures(x, z, n_cap, reasons):
+    # Limit-level equivalence of a decided pair must agree with one forward
+    # step in both directions: x ~ z gives T(x) ~ T(z), and T(x) ~ T(z)
+    # gives x ~ z (merging one level later).  reasons names each direction.
+    fails = []
+    m = quotient.merge(x, z, n_cap).merge_time
+    mi = quotient.merge(core.collatz_step(x), core.collatz_step(z), n_cap).merge_time
+    if m is not None and mi is None:
+        fails.append({"x": x, "z": z, "merge_time": m, "reason": reasons[0]})
+    if mi is not None and quotient.merge(x, z, n_cap + 1).merge_time is None:
+        fails.append({"x": x, "z": z, "image_merge_time": mi, "reason": reasons[1]})
+    return fails
+
+
 def _check_limit_pullback(bound, n_cap, rng):
-    # On decided pairs, limit-level equivalence must be compatible with one
-    # forward step, in both directions.
     win = min(bound, 1200)
     fails = []
     inst = 0
     for _ in range(8):
         x = _draw_u0(rng, 1, min(bound, 300))
-        tx = core.collatz_step(x)
         for z in u0_range(1, win):
             inst += 1
-            m = quotient.merge(x, z, n_cap).merge_time
-            mi = quotient.merge(tx, core.collatz_step(z), n_cap).merge_time
-            if m is not None and mi is None:
-                fails.append({"x": x, "z": z, "merge_time": m,
-                              "reason": "images failed to merge"})
-            if mi is not None and quotient.merge(x, z, n_cap + 1).merge_time is None:
-                fails.append({"x": x, "z": z, "image_merge_time": mi,
-                              "reason": "originals failed to merge"})
+            fails += _step_compat_failures(
+                x, z, n_cap, ("images failed to merge", "originals failed to merge"))
     return f"8 sampled x against the window [1, {win}], cap {n_cap}", inst, fails
 
 
@@ -336,12 +341,7 @@ def _check_induced_map(bound, n_cap, rng):
         x = _draw_u0(rng, 1, bound)
         z = _draw_u0(rng, 1, bound)
         inst += 1
-        m = quotient.merge(x, z, n_cap).merge_time
-        mi = quotient.merge(core.collatz_step(x), core.collatz_step(z), n_cap).merge_time
-        if m is not None and mi is None:
-            fails.append({"x": x, "z": z, "merge_time": m, "reason": "not well-defined"})
-        if mi is not None and quotient.merge(x, z, n_cap + 1).merge_time is None:
-            fails.append({"x": x, "z": z, "image_merge_time": mi, "reason": "not injective"})
+        fails += _step_compat_failures(x, z, n_cap, ("not well-defined", "not injective"))
     return f"60 sampled pairs in [1, {bound}], cap {n_cap}", inst, fails
 
 

@@ -1,9 +1,11 @@
 """CLI envelope, exit codes, cache plumbing, output formats."""
 
+import argparse
 import importlib.metadata
 import json
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import pytest
@@ -230,6 +232,17 @@ class TestExitCodes:
     def test_domain_error_even_input(self, capsys):
         assert run_cli(capsys, "orbit", "6")[0] == 2
 
+    @pytest.mark.parametrize("level", [(), ("--n", "2")])
+    def test_delta_max_n_only_with_sequence(self, capsys, level):
+        code, out, err = run_cli(capsys, "delta", "7", *level, "--max-n", "3")
+        assert (code, out) == (2, "")
+        assert err == "collatzq: error: --max-n applies only with --sequence\n"
+
+    def test_delta_sequence_max_n_defaults_to_ten(self, capsys):
+        _, env, _ = run_json(capsys, "delta", "7", "--sequence")
+        assert env["parameters"]["max_n"] == 10
+        assert len(env["result"]["values"]) == 11
+
     def test_resource_error(self, capsys):
         code, _, err = run_cli(capsys, "witness", "7", "--n", "1", "--search-cap", "10")
         assert code == 2
@@ -321,6 +334,23 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "collatzq: internal error: RuntimeError: merge state lost\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="relies on Linux honouring RLIMIT_AS for the child")
+    def test_out_of_memory_exits_two_in_one_line(self, child_env):
+        import resource
+
+        limit = 120 * 2**20
+
+        def cap_address_space():  # runs in the child only, before exec
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "collatzq", "census", "--n-max", "400000", "--bound", "100"],
+            capture_output=True, text=True, env=child_env, preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "collatzq: error: out of memory\n"
 
     def test_corrupt_cache_exits_two_naming_line(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -464,6 +494,122 @@ class TestCachePlumbing:
         assert code == 2
         assert out == ""
         assert f"{path}: line 3: torn append" in err
+
+
+# One invocation per leaf command that gives every option the command accepts
+# except --json, which only spells out the default.  delta takes two, since
+# --n and --sequence exclude each other.  "{cache}" stands for a cache path.
+_EVERY_OPTION = {
+    "orbit": [["orbit", "27", "--max-steps", "500", "--trace", "--csv",
+               "--cache", "{cache}", "--quiet"]],
+    "map": [["map", "5", "--op", "S", "--k", "2", "--csv"]],
+    "preimage": [["preimage", "5", "--bound", "100", "--u0-only", "--csv"]],
+    "class": [["class", "17", "--n", "1", "--bound", "300", "--method", "bfs", "--csv"]],
+    "class-inf": [["class-inf", "7", "--bound", "60", "--cap", "200", "--csv"]],
+    "delta": [["delta", "7", "--n", "2", "--csv"],
+              ["delta", "7", "--sequence", "--max-n", "3", "--csv"]],
+    "merge": [["merge", "7", "17", "--cap", "100", "--csv"]],
+    "tstar": [["tstar", "7", "--cap", "100", "--csv"]],
+    "partition": [["partition", "--bound", "60", "--n", "1", "--csv"]],
+    "witness": [["witness", "7", "--n", "1", "--search-cap", "1000", "--csv"]],
+    "matrix": [["matrix", "7", "--k-min", "-1", "--k-max", "1", "--n-max", "2",
+                "--bound", "100", "--csv"]],
+    "census": [["census", "--n-max", "2", "--bound", "100", "--csv"]],
+    "suffset": [["suffset", "--bound", "100", "--members", "--csv"]],
+    "appendix-class": [["appendix-class", "7", "--bound", "30", "--k-range", "2",
+                        "--cap", "200", "--csv"]],
+    "verify lemmas": [["verify", "lemmas", "--bound", "100", "--n-cap", "5", "--seed", "1",
+                       "--csv"]],
+    "verify range": [["verify", "range", "--from", "1", "--to", "300", "--jobs", "1",
+                      "--max-steps", "500", "--csv", "--cache", "{cache}", "--quiet"]],
+}
+_CACHED = ("orbit", "verify range")
+_UNCACHED = [name for name in _EVERY_OPTION if name not in _CACHED]
+
+
+def _leaf_parsers(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, f"{prefix} {name}".strip())
+            return
+    yield prefix, parser
+
+
+def _fill(argv, cache):
+    return [str(cache) if a == "{cache}" else a for a in argv]
+
+
+class TestOptionScope:
+    """Each command accepts exactly the options it reads."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        # parse_args parses into a namespace that records every attribute
+        # read once parsing is done, so argparse's own reads do not count.
+        seen = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        build = cli_mod._build_parser
+
+        def recording_build():
+            parser = build()
+            parse = parser.parse_args
+
+            def parse_args(args=None):
+                ns = parse(args, Recording())
+                seen.clear()
+                return ns
+
+            parser.parse_args = parse_args
+            return parser
+
+        monkeypatch.setattr(cli_mod, "_build_parser", recording_build)
+        return seen
+
+    def test_table_covers_every_leaf_command(self):
+        leaves = [name for name, _ in _leaf_parsers(cli_mod._build_parser())]
+        assert sorted(_EVERY_OPTION) == sorted(leaves)
+        assert len(_UNCACHED) == 14
+
+    @pytest.mark.parametrize("name", sorted(_EVERY_OPTION))
+    def test_every_accepted_option_is_read(self, capsys, tmp_path, reads, name):
+        leaf = dict(_leaf_parsers(cli_mod._build_parser()))[name]
+        actions = [a for a in leaf._actions if not isinstance(a, argparse._HelpAction)]
+        given, read = set(), set()
+        for argv in _EVERY_OPTION[name]:
+            given.update(a for a in argv if a.startswith("--"))
+            code, out, err = run_cli(capsys, *_fill(argv, tmp_path / "c.jsonl"))
+            assert (code, err) == (0, ""), argv
+            assert out.startswith("key,value\n")
+            read |= reads
+        options = {a.option_strings[-1] for a in actions if a.option_strings}
+        assert given == options - {"--json"}
+        assert {a.dest for a in actions} - read == {"json"}
+
+    @pytest.mark.parametrize("option", [["--cache", "{cache}"], ["--quiet"]],
+                             ids=["cache", "quiet"])
+    @pytest.mark.parametrize("name", _UNCACHED)
+    def test_uncached_command_refuses_cache_options(self, capsys, tmp_path, name, option):
+        cache = tmp_path / "c.jsonl"
+        argv = _fill([*_EVERY_OPTION[name][0], *option], cache)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: " + " ".join(argv[-len(option):]) in err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("option", [["--json"], ["--csv"], ["--cache", "{cache}"],
+                                        ["--quiet"]], ids=["json", "csv", "cache", "quiet"])
+    def test_verify_group_takes_no_option(self, capsys, tmp_path, option):
+        cache = tmp_path / "c.jsonl"
+        argv = _fill(["verify", *option, "range", "--from", "1", "--to", "300"], cache)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert not cache.exists()
 
 
 def _distribution_installed(name):

@@ -1,5 +1,6 @@
 """Verification engine: lemma suite wiring, range sweep semantics."""
 
+import dataclasses
 import functools
 import json
 import random
@@ -117,6 +118,29 @@ class TestLemmaSuite:
         assert tau_check.failures
         bad = [f for f in tau_check.failures if f.get("y") == 7]
         assert bad and bad[0]["tau"] == 11
+
+    def test_step_compatibility_rules_name_their_direction(self, monkeypatch):
+        # A merge that leaves some decided pairs undecided breaks both
+        # directions of L-INF and L-TSWD, each under its own reason.
+        real_merge = verify_mod.quotient.merge
+
+        def forgetful_merge(x, z, cap):
+            res = real_merge(x, z, cap)
+            if (7 * x + 3 * z + cap) % 5 == 0:
+                return dataclasses.replace(res, merge_time=None)
+            return res
+
+        monkeypatch.setattr(verify_mod.quotient, "merge", forgetful_merge)
+        results = {r.check_id: r for r in run_lemma_suite(1000, sample_seed=3)}
+        for check_id, reasons in [
+            ("L-INF", {"images failed to merge": "merge_time",
+                       "originals failed to merge": "image_merge_time"}),
+            ("L-TSWD", {"not well-defined": "merge_time", "not injective": "image_merge_time"}),
+        ]:
+            failures = results[check_id].failures
+            assert {f["reason"] for f in failures} == set(reasons)
+            for f in failures:
+                assert set(f) == {"x", "z", reasons[f["reason"]], "reason"}
 
 
 class TestRangeSweep:
