@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import _require_u0, _trajectory, iterate, nu2, tau, u0_range
+from .core import _require_at_least, _require_u0, _trajectory, iterate, nu2, tau, u0_range
 from .errors import DomainError, ResourceLimitError
 from .quotient import ClassWindow, _meets, _walk, class_inf, delta_sequence
 
@@ -85,10 +85,8 @@ def class_matrices(
     _require_u0(x)
     if not (k_min <= 0 <= k_max):
         raise DomainError(f"window must straddle k=0, got [{k_min}, {k_max}]")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    _require_at_least(n_max, 0, "n_max")
+    _require_at_least(bound, 1, "bound")
     cells: dict[tuple[int, int], ClassWindow] = {}
     minima: dict[tuple[int, int], int] = {}
     row_stab: dict[int, int] = {}
@@ -141,8 +139,7 @@ def connected_class(x: int, bound: int, k_range: int, cap: int) -> ClassWindow:
     checks invariance as two inclusions on decided members only.
     """
     _require_u0(x)
-    if k_range < 0:
-        raise DomainError(f"k_range must be >= 0, got {k_range}")
+    _require_at_least(k_range, 0, "k_range")
     members: set[int] = set()
     exact = True
     for k in range(-k_range, k_range + 1):
@@ -161,8 +158,7 @@ def sufficient_set_check(bound: int) -> SufficientSetReport:
     reaches 1, so does everything, because walking any trajectory backward
     by minimal preimages immediately lands in the set.
     """
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    _require_at_least(bound, 1, "bound")
     hist = {"1": 0, "2": 0, "3": 0, "4": 0, "other": 0}
     violations: list[int] = []
     for x in u0_range(1, bound):
@@ -178,8 +174,7 @@ def sufficient_set_check(bound: int) -> SufficientSetReport:
 
 def sufficient_set_members(bound: int) -> list[int]:
     """Restricted-domain elements of [1, bound] with nu2(3x+1) in {1,2,3,4}."""
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    _require_at_least(bound, 1, "bound")
     return [x for x in u0_range(1, bound) if 1 <= nu2(3 * x + 1) <= 4]
 
 
@@ -193,10 +188,8 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
     holds exactly the elements first hitting 1 at step d; when that walk
     passes its budget, a forward scan of the window counts them instead.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    _require_at_least(n_max, 0, "n_max")
+    _require_at_least(bound, 1, "bound")
     try:
         first_hit = [len(level) for level in _walk(1, n_max, bound)]
     except ResourceLimitError:

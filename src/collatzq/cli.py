@@ -427,6 +427,12 @@ _HANDLERS = {
 
 
 def _resolve_cache(ns) -> OrbitCache | None:
+    # A sweep that does not start at 1 never reads or writes a cache, so it
+    # refuses the flag and opens no COLLATZ_CACHE file.
+    if getattr(ns, "lo", 1) != 1:
+        if ns.cache:
+            raise DomainError("--cache applies only to sweeps from 1")
+        return None
     path = ns.cache or os.environ.get("COLLATZ_CACHE")
     if not path:
         return None

@@ -58,6 +58,12 @@ def _require_u0(x: int, name: str = "x") -> int:
     return x
 
 
+def _require_at_least(value: int, floor: int, name: str) -> int:
+    if value < floor:
+        raise DomainError(f"{name} must be >= {floor}, got {value}")
+    return value
+
+
 def is_u0(x: int) -> bool:
     """True when x is odd, positive, and not divisible by 3."""
     return x >= 1 and x % 2 == 1 and x % 3 != 0
@@ -145,8 +151,7 @@ def shift(x: int, k: int = 1) -> int:
     ``collatz_step`` as x itself.
     """
     _require_odd(x)
-    if k < 0:
-        raise DomainError(f"shift count must be >= 0, got {k}")
+    _require_at_least(k, 0, "shift count")
     if k == 0:
         return x
     p = 1 << (2 * k)
@@ -203,8 +208,7 @@ def preimages(y: int, bound: int, u0_only: bool = False) -> list[int]:
     exactly one element in every three consecutive chain elements.
     """
     _require_u0(y, "y")
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    _require_at_least(bound, 1, "bound")
     out: list[int] = []
     z = xi(y)
     while z <= bound:
@@ -242,8 +246,7 @@ def orbit(x: int, max_steps: int = 10_000, keep_prefix: bool = False) -> OrbitRe
     are also recorded.
     """
     _require_odd(x)
-    if max_steps < 1:
-        raise DomainError(f"max_steps must be >= 1, got {max_steps}")
+    _require_at_least(max_steps, 1, "max_steps")
     return _orbit_impl(_step, x, max_steps, keep_prefix)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .core import _iterate, _meet, _require_u0, _step, _trajectory, _u0_count, tau, u0_range
+from .core import (_iterate, _meet, _require_at_least, _require_u0, _step, _trajectory,
+                    _u0_count, tau, u0_range)
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -116,10 +117,8 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
     cross-checked against the scan in the test suite, never trusted alone.
     """
     _require_u0(x)
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    _require_at_least(n, 0, "level")
+    _require_at_least(bound, 1, "bound")
     if method == "scan":
         members = [z for z, _ in _meets(_trajectory(x, n), n, bound)]
     elif method == "bfs":
@@ -226,8 +225,7 @@ def delta_n(x: int, n: int) -> int:
     the worst case.
     """
     _require_u0(x)
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
+    _require_at_least(n, 0, "level")
     if n == 0:
         return x  # the level-0 class is {x}
     return _level_min(_trajectory(x, n), n, x)
@@ -240,8 +238,7 @@ def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     the previous minimum; the result is still exact.
     """
     _require_u0(x)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    _require_at_least(n_max, 0, "n_max")
     targets = _trajectory(x, n_max)
     values = [x]
     for n in range(1, n_max + 1):
@@ -258,8 +255,7 @@ def merge(x: int, z: int, cap: int) -> MergeResult:
     """
     _require_u0(x)
     _require_u0(z, "z")
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+    _require_at_least(cap, 1, "cap")
     if x == z:
         return MergeResult(x, z, 0, cap)
     # Two live orbits in O(1) memory that stop where they meet, at 1 at the latest;
@@ -282,8 +278,7 @@ def delta_inf(x: int, n_cap: int) -> tuple[int, bool]:
     a repeating value above 1 is never a certificate.
     """
     _require_u0(x)
-    if n_cap < 1:
-        raise DomainError(f"n_cap must be >= 1, got {n_cap}")
+    _require_at_least(n_cap, 1, "n_cap")
     if _meet(x, [1], n_cap) is not None:  # [1] is _trajectory(1, n_cap)
         return 1, True
     return delta_n(x, n_cap), False
@@ -297,10 +292,8 @@ def class_inf(x: int, bound: int, cap: int) -> ClassWindow:
     exact_within_bound flag; they are never reported as non-members.
     """
     _require_u0(x)
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+    _require_at_least(bound, 1, "bound")
+    _require_at_least(cap, 1, "cap")
     # Orbits that merge stay merged, so merging within cap steps is equality
     # at level cap; the window is exact when every candidate is a member.
     members = [z for z, _ in _meets(_trajectory(x, cap), cap, bound)]
@@ -326,10 +319,8 @@ def partition_n(bound: int, n: int) -> list[ClassWindow]:
     Cells are keyed by the exact n-th forward image, listed by ascending
     minimal member.  Cells are disjoint and cover the window.
     """
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
+    _require_at_least(bound, 1, "bound")
+    _require_at_least(n, 0, "level")
     groups: dict[int, list[int]] = {}
     for z in u0_range(1, bound):
         groups.setdefault(_iterate(z, n), []).append(z)
@@ -352,10 +343,8 @@ def strict_inclusion_witness(x: int, n: int, search_cap: int = 10**6) -> int:
     ResourceLimitError (a budget failure, not a mathematical one).
     """
     _require_u0(x)
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
-    if search_cap < 1:
-        raise DomainError(f"search_cap must be >= 1, got {search_cap}")
+    _require_at_least(n, 0, "level")
+    _require_at_least(search_cap, 1, "search_cap")
     target = 4 * _iterate(x, n) + 1
     if target % 3 == 0:
         target = 4 * target + 1

@@ -41,7 +41,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import core, quotient
-from .core import _u0_count, u0_range
+from .core import _require_at_least, _u0_count, u0_range
 from .errors import DomainError, ResourceLimitError
 from .jump import _SIEVE_MOD, _jump_table, _sieve_table, _survivor_outcome
 
@@ -409,8 +409,7 @@ def run_lemma_suite(bound: int, n_cap: int = 50, sample_seed: int = 0) -> list[L
     """
     if bound < 100:
         raise DomainError(f"bound must be >= 100 for a meaningful suite, got {bound}")
-    if n_cap < 1:
-        raise DomainError(f"n_cap must be >= 1, got {n_cap}")
+    _require_at_least(n_cap, 1, "n_cap")
     results = []
     for check_id, fn in _CHECKS:
         rng = random.Random(f"{sample_seed}:{check_id}")
@@ -574,7 +573,7 @@ def verify_conjecture_range(
     core.orbit, checked against the composed total and stored; a cached
     record that disagrees raises CacheError.  For lo > 1 exact totals are
     not derivable from the range alone, so statistics are segment-local
-    and the cache is left untouched; the residue classes mod 2**j, j <= 16,
+    and no cache is read or written; the residue classes mod 2**j, j <= 16,
     that provably drop at a fixed step are then settled per class instead
     of per element, and the rest jump 8 parity steps at a time where no
     value skipped can change the report, with the same report.
@@ -583,14 +582,11 @@ def verify_conjecture_range(
     that would need more than the machine's physical memory raises
     ResourceLimitError before any element is iterated.
     """
-    if lo < 1:
-        raise DomainError(f"lo must be >= 1, got {lo}")
+    _require_at_least(lo, 1, "lo")
     if hi < lo:
         raise DomainError(f"range is empty: lo={lo}, hi={hi}")
-    if max_steps < 1:
-        raise DomainError(f"max_steps must be >= 1, got {max_steps}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    _require_at_least(max_steps, 1, "max_steps")
+    _require_at_least(workers, 1, "workers")
     if lo == 1:
         need, have = _prefix_bytes(hi), _physical_memory()
         if need > have:
@@ -607,13 +603,13 @@ def verify_conjecture_range(
 
     spans = _chunk_spans(lo, hi, workers)
     args = [(a, b, max_steps) for a, b in spans]
-    if workers == 1 or len(args) <= 1:
+    # A fork pool starts all its workers at the first submit, so ask for no
+    # more than there are chunks or cores, and run one in-process; same report.
+    procs = min(workers, len(args), os.cpu_count() or 1)
+    if procs == 1:
         chunks = [kernel(a) for a in args]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        # A fork pool starts all its workers at the first submit, so never ask
-        # for more than there are chunks or cores; the report is the same.
-        procs = min(workers, len(args), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(kernel, args))
     if lo == 1:

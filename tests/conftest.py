@@ -8,6 +8,14 @@ from pathlib import Path
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def no_ambient_cache(monkeypatch):
+    """Ignore the caller's COLLATZ_CACHE: no test reads or writes the user's
+    cache unless it sets the variable itself.  child_env copies os.environ
+    after this has run, so spawned CLIs do not see it either."""
+    monkeypatch.delenv("COLLATZ_CACHE", raising=False)
+
+
 @pytest.fixture
 def child_env():
     """Environment for a child Python that imports the `collatzq` under test.

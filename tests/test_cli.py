@@ -418,6 +418,25 @@ class TestCachePlumbing:
         assert (code, out) == (2, "")
         assert err.startswith("collatzq: cache error: ") and "x=31" in err
 
+    def test_cache_flag_above_one_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        code, out, err = run_cli(capsys, "verify", "range", "--from", "1001", "--to", "1100",
+                                 "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == "collatzq: error: --cache applies only to sweeps from 1\n"
+        assert not path.exists()
+
+    def test_env_var_above_one_opens_no_cache(self, capsys, tmp_path, monkeypatch):
+        args = ("verify", "range", "--from", "1001", "--to", "1100")
+        _, plain, _ = run_json(capsys, *args)
+        path = tmp_path / "env.jsonl"
+        monkeypatch.setenv("COLLATZ_CACHE", str(path))
+        code, env, err = run_json(capsys, *args)
+        assert (code, err) == (0, "")
+        assert "cache_stats" not in env
+        assert json.dumps(env["result"]) == json.dumps(plain["result"])
+        assert not path.exists()
+
     def test_verify_range_cache_round_trip(self, capsys, tmp_path):
         path = str(tmp_path / "c.jsonl")
         args = ("verify", "range", "--from", "1", "--to", "500", "--cache", path, "--quiet")

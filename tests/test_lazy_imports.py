@@ -74,6 +74,30 @@ def test_verify_range_loads_the_pool_only_for_workers(child_env, jobs):
     assert ("concurrent.futures.process" in out["modules"]) == (jobs != "1")
 
 
+def test_verify_range_on_one_core_runs_in_process(child_env):
+    # With one core a pool would hold one process, so none is started.
+    out = run_child(child_env, """
+        import contextlib, io, json, os, sys
+        from collatzq import cli
+
+        os.cpu_count = lambda: 1
+
+        def run(jobs):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["verify", "range", "--from", "1000001", "--to", "1100000",
+                                 "--jobs", jobs])
+            return [code, json.loads(buf.getvalue())["result"]]
+
+        two = run("2")
+        pooled = "concurrent.futures.process" in sys.modules
+        print(json.dumps({"two": two, "pooled": pooled, "one": run("1")}))
+    """)
+    assert out["pooled"] is False
+    assert out["two"] == out["one"]
+    assert out["one"][0] == 0
+
+
 def test_exports_resolve_to_their_home_objects(child_env):
     out = run_child(child_env, """
         import importlib, json

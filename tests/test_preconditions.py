@@ -1,0 +1,93 @@
+"""Every precondition message, pinned whole.
+
+One case per check that rejects an argument with a DomainError: each
+public entry point is called once with one argument out of range, and the
+message must match exactly.  The 26 "must be >= floor" rules come first,
+in module order, then the hand-worded ones.
+"""
+
+import re
+
+import pytest
+
+from collatzq import bookkeeping, core, quotient, verify
+from collatzq.cli import main
+from collatzq.errors import DomainError
+
+
+def case(id, call, text):
+    return pytest.param(call, text, id=id)
+
+
+AT_LEAST = [
+    case("shift-k", lambda: core.shift(7, -1), "shift count must be >= 0, got -1"),
+    case("preimages-bound", lambda: core.preimages(7, 0), "bound must be >= 1, got 0"),
+    case("orbit-max_steps", lambda: core.orbit(7, max_steps=0),
+         "max_steps must be >= 1, got 0"),
+    case("class_n-level", lambda: quotient.class_n(7, -1, 10), "level must be >= 0, got -1"),
+    case("class_n-bound", lambda: quotient.class_n(7, 1, 0), "bound must be >= 1, got 0"),
+    case("delta_n-level", lambda: quotient.delta_n(7, -1), "level must be >= 0, got -1"),
+    case("delta_sequence-n_max", lambda: quotient.delta_sequence(7, -1),
+         "n_max must be >= 0, got -1"),
+    case("merge-cap", lambda: quotient.merge(7, 5, 0), "cap must be >= 1, got 0"),
+    case("delta_inf-n_cap", lambda: quotient.delta_inf(7, 0), "n_cap must be >= 1, got 0"),
+    case("class_inf-bound", lambda: quotient.class_inf(7, 0, 10), "bound must be >= 1, got 0"),
+    case("class_inf-cap", lambda: quotient.class_inf(7, 10, 0), "cap must be >= 1, got 0"),
+    case("partition_n-bound", lambda: quotient.partition_n(0, 1), "bound must be >= 1, got 0"),
+    case("partition_n-level", lambda: quotient.partition_n(10, -1),
+         "level must be >= 0, got -1"),
+    case("witness-level", lambda: quotient.strict_inclusion_witness(7, -1),
+         "level must be >= 0, got -1"),
+    case("witness-search_cap", lambda: quotient.strict_inclusion_witness(7, 1, 0),
+         "search_cap must be >= 1, got 0"),
+    case("class_matrices-n_max", lambda: bookkeeping.class_matrices(7, n_max=-1),
+         "n_max must be >= 0, got -1"),
+    case("class_matrices-bound", lambda: bookkeeping.class_matrices(7, bound=0),
+         "bound must be >= 1, got 0"),
+    case("connected_class-k_range", lambda: bookkeeping.connected_class(7, 10, -1, 5),
+         "k_range must be >= 0, got -1"),
+    case("sufficient_set_check-bound", lambda: bookkeeping.sufficient_set_check(0),
+         "bound must be >= 1, got 0"),
+    case("sufficient_set_members-bound", lambda: bookkeeping.sufficient_set_members(0),
+         "bound must be >= 1, got 0"),
+    case("census-n_max", lambda: bookkeeping.census_class_of_one(-1, 10),
+         "n_max must be >= 0, got -1"),
+    case("census-bound", lambda: bookkeeping.census_class_of_one(5, 0),
+         "bound must be >= 1, got 0"),
+    case("lemma_suite-n_cap", lambda: verify.run_lemma_suite(100, n_cap=0),
+         "n_cap must be >= 1, got 0"),
+    case("range-lo", lambda: verify.verify_conjecture_range(0, 10), "lo must be >= 1, got 0"),
+    case("range-max_steps", lambda: verify.verify_conjecture_range(1, 10, max_steps=0),
+         "max_steps must be >= 1, got 0"),
+    case("range-workers", lambda: verify.verify_conjecture_range(1, 10, workers=0),
+         "workers must be >= 1, got 0"),
+]
+
+HAND_WORDED = [
+    case("lemma_suite-bound", lambda: verify.run_lemma_suite(99),
+         "bound must be >= 100 for a meaningful suite, got 99"),
+    case("range-empty", lambda: verify.verify_conjecture_range(10, 9),
+         "range is empty: lo=10, hi=9"),
+    case("class_matrices-window", lambda: bookkeeping.class_matrices(7, k_min=1),
+         "window must straddle k=0, got [1, 3]"),
+    case("class_n-method", lambda: quotient.class_n(7, 1, 10, method="dfs"),
+         "unknown method 'dfs', expected 'scan' or 'bfs'"),
+    case("collatz_step-odd", lambda: core.collatz_step(4),
+         "x must be an odd positive integer, got 4"),
+    case("xi-u0", lambda: core.xi(9), "y must not be divisible by 3, got 9"),
+    case("merge-u0", lambda: quotient.merge(7, 9, 5), "z must not be divisible by 3, got 9"),
+    case("nu2-positive", lambda: core.nu2(0), "nu2 requires a positive integer, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, text", AT_LEAST + HAND_WORDED)
+def test_message_is_exact(call, text):
+    with pytest.raises(DomainError, match="^" + re.escape(text) + "$"):
+        call()
+
+
+def test_cli_k_rule_is_one_exact_line(capsys):
+    # The CLI's other rule, --max-n without --sequence, is pinned in test_cli.
+    assert main(["map", "7", "--op", "T", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "collatzq: error: --k does not apply to op T\n")

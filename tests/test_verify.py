@@ -442,7 +442,7 @@ class TestWorkerClamp:
     @pytest.mark.parametrize("cores, workers, started", [
         (2, 5_000, 2),     # clamped to the cores
         (64, 5_000, None),  # clamped to the chunks
-        (None, 8, 1),      # cpu_count() unknown: one process
+        (None, 8, 1),      # cpu_count() unknown: one process, so no pool
         (4, 3, 3),         # asked for fewer than both
     ])
     def test_processes_started(self, pool_sizes, monkeypatch, lo, hi, cores, workers, started):
@@ -451,7 +451,8 @@ class TestWorkerClamp:
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
         report = verify_conjecture_range(lo, hi, workers=workers)
         assert report == verify_conjecture_range(lo, hi, workers=1)
-        assert pool_sizes == [chunks if started is None else started]  # one pool
+        procs = chunks if started is None else started
+        assert pool_sizes == ([procs] if procs > 1 else [])  # one pool, none for one process
 
 
 def per_element_report(lo, hi, max_steps):
