@@ -12,6 +12,12 @@ counts, seeds) are plain integers.  Handlers return plain Python values, and
 the rule is applied once, by ``_encode``, to the keys named in
 ``_NUMBER_KEYS``.
 
+Each handler returns only ``(result, exit_code)``.  ``main`` echoes the parsed
+options under ``parameters``: every option of the command except the output
+format and the cache options, in declaration order, with defaults filled in;
+an option left unset (None) is omitted.  A handler that fills in a default
+writes it back to the namespace, so the echo shows the value used.
+
 Exit status: 0 success; 1 usage error; 2 domain, resource (out of memory
 among them), or cache error; 3 mathematical finding (a cycle, a lemma
 failure, a sufficient-set violation, or a range that could not be fully
@@ -96,7 +102,7 @@ def _build_parser() -> _Parser:
     p.add_argument("x", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--n", type=int, default=None)
-    mode.add_argument("--sequence", action="store_true")
+    mode.add_argument("--sequence", action="store_const", const=True)
     p.add_argument("--max-n", type=int, default=None,
                    help="last level for --sequence (default 10)")
 
@@ -151,8 +157,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = vsub.add_parser("range", parents=[cached], help="verify a range reaches 1")
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--from", type=int, required=True)
+    p.add_argument("--to", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-steps", type=int, default=10_000)
 
@@ -160,12 +166,12 @@ def _build_parser() -> _Parser:
 
 
 # --------------------------------------------------------------------------
-# command handlers: each returns (parameters, result, exit_code) as plain
-# Python values; main encodes them (see _NUMBER_KEYS)
+# command handlers: each returns (result, exit_code) as plain Python values;
+# main echoes the parsed options as the parameters and encodes both (see
+# _ECHO_SKIP and _NUMBER_KEYS)
 
 def _cmd_orbit(ns, cache):
     from . import core
-    params = {"x": ns.x, "max_steps": ns.max_steps, "trace": ns.trace}
     rec = core.orbit(ns.x, max_steps=ns.max_steps, keep_prefix=ns.trace)
     # The cache checks the computed record (a disagreeing one is CacheError)
     # and never supplies it.
@@ -180,7 +186,7 @@ def _cmd_orbit(ns, cache):
     }
     if rec.trajectory_prefix is not None:
         result["trajectory"] = rec.trajectory_prefix
-    return params, result, 3 if rec.cycle_value is not None else 0
+    return result, 3 if rec.cycle_value is not None else 0
 
 
 def _cmd_map(ns, cache):
@@ -188,34 +194,26 @@ def _cmd_map(ns, cache):
     op, x, k = ns.op, ns.x, ns.k
     if op in ("T", "xi", "tau") and k is not None:
         raise DomainError(f"--k does not apply to op {op}")
-    params = {"x": x, "op": op}
     if op == "T":
         value = core.collatz_step(x)
     elif op == "xi":
         value = core.xi(x)
     elif op == "tau":
         value = core.tau(x)
-    elif op == "S":
-        k = 1 if k is None else k
-        params["k"] = k
-        value = core.shift(x, k)
     else:
-        k = 1 if k is None else k
-        params["k"] = k
-        value = core.iterate(x, k)
-    return params, {"input": x, "op": op, "value": value}, 0
+        ns.k = k = 1 if k is None else k
+        value = core.shift(x, k) if op == "S" else core.iterate(x, k)
+    return {"input": x, "op": op, "value": value}, 0
 
 
 def _cmd_preimage(ns, cache):
     from . import core
-    params = {"y": ns.y, "bound": ns.bound, "u0_only": ns.u0_only}
     pres = core.preimages(ns.y, ns.bound, u0_only=ns.u0_only)
-    return params, {"preimages": pres, "count": len(pres)}, 0
+    return {"preimages": pres, "count": len(pres)}, 0
 
 
 def _cmd_class(ns, cache):
     from . import quotient
-    params = {"x": ns.x, "n": ns.n, "bound": ns.bound, "method": ns.method}
     win = quotient.class_n(ns.x, ns.n, ns.bound, method=ns.method)
     result = {
         "base": win.base,
@@ -224,12 +222,11 @@ def _cmd_class(ns, cache):
         "members": win.members,
         "count": len(win.members),
     }
-    return params, result, 0
+    return result, 0
 
 
 def _cmd_class_inf(ns, cache):
     from . import quotient
-    params = {"x": ns.x, "bound": ns.bound, "cap": ns.cap}
     win = quotient.class_inf(ns.x, ns.bound, ns.cap)
     result = {
         "base": win.base,
@@ -238,43 +235,40 @@ def _cmd_class_inf(ns, cache):
         "count": len(win.members),
         "exact_within_bound": win.exact_within_bound,
     }
-    return params, result, 0
+    return result, 0
 
 
 def _cmd_delta(ns, cache):
     from . import quotient
     if ns.sequence:
-        max_n = 10 if ns.max_n is None else ns.max_n
-        params = {"x": ns.x, "sequence": True, "max_n": max_n}
-        seq = quotient.delta_sequence(ns.x, max_n)
+        if ns.max_n is None:
+            ns.max_n = 10
+        seq = quotient.delta_sequence(ns.x, ns.max_n)
         result = {
             "values": seq.values,
             "stabilization_index": seq.stabilization_index,
         }
-        return params, result, 0
+        return result, 0
     if ns.max_n is not None:
         raise DomainError("--max-n applies only with --sequence")
-    n = 1 if ns.n is None else ns.n
-    params = {"x": ns.x, "n": n}
-    return params, {"value": quotient.delta_n(ns.x, n)}, 0
+    if ns.n is None:
+        ns.n = 1
+    return {"value": quotient.delta_n(ns.x, ns.n)}, 0
 
 
 def _cmd_merge(ns, cache):
     from . import quotient
-    params = {"x": ns.x, "z": ns.z, "cap": ns.cap}
     res = quotient.merge(ns.x, ns.z, ns.cap)
-    return params, {"merge_time": res.merge_time, "decided": res.merge_time is not None}, 0
+    return {"merge_time": res.merge_time, "decided": res.merge_time is not None}, 0
 
 
 def _cmd_tstar(ns, cache):
     from . import quotient
-    params = {"x": ns.x, "cap": ns.cap}
-    return params, {"value": quotient.tstar_apply(ns.x, ns.cap)}, 0
+    return {"value": quotient.tstar_apply(ns.x, ns.cap)}, 0
 
 
 def _cmd_partition(ns, cache):
     from . import quotient
-    params = {"bound": ns.bound, "n": ns.n}
     cells = quotient.partition_n(ns.bound, ns.n)
     result = {
         "cell_count": len(cells),
@@ -284,20 +278,17 @@ def _cmd_partition(ns, cache):
             for c in cells
         ],
     }
-    return params, result, 0
+    return result, 0
 
 
 def _cmd_witness(ns, cache):
     from . import quotient
-    params = {"x": ns.x, "n": ns.n, "search_cap": ns.search_cap}
     z = quotient.strict_inclusion_witness(ns.x, ns.n, search_cap=ns.search_cap)
-    return params, {"witness": z}, 0
+    return {"witness": z}, 0
 
 
 def _cmd_matrix(ns, cache):
     from . import bookkeeping
-    params = {"x": ns.x, "k_min": ns.k_min, "k_max": ns.k_max,
-              "n_max": ns.n_max, "bound": ns.bound}
     window = bookkeeping.class_matrices(ns.x, k_min=ns.k_min, k_max=ns.k_max,
                                         n_max=ns.n_max, bound=ns.bound)
     tails = bookkeeping.row_tail_analysis(window)
@@ -313,36 +304,32 @@ def _cmd_matrix(ns, cache):
             "tail_value": tail_value,
         })
     result = {"rows": rows, "delta_star_window": window.delta_star_window}
-    return params, result, 0
+    return result, 0
 
 
 def _cmd_census(ns, cache):
     from . import bookkeeping
-    params = {"n_max": ns.n_max, "bound": ns.bound}
     counts = bookkeeping.census_class_of_one(ns.n_max, ns.bound)
     result = {"counts": [{"level": n, "count": c} for n, c in counts]}
-    return params, result, 0
+    return result, 0
 
 
 def _cmd_suffset(ns, cache):
     from . import bookkeeping
     if ns.members:
-        params = {"bound": ns.bound, "members": True}
         members = bookkeeping.sufficient_set_members(ns.bound)
-        return params, {"members": members, "count": len(members)}, 0
-    params = {"bound": ns.bound, "members": False}
+        return {"members": members, "count": len(members)}, 0
     report = bookkeeping.sufficient_set_check(ns.bound)
     result = {
         "violations": report.violations,
         "violation_count": len(report.violations),
         "tau_nu2_histogram": report.tau_nu2_histogram,
     }
-    return params, result, 3 if report.violations else 0
+    return result, 3 if report.violations else 0
 
 
 def _cmd_appendix_class(ns, cache):
     from . import bookkeeping
-    params = {"x": ns.x, "bound": ns.bound, "k_range": ns.k_range, "cap": ns.cap}
     win = bookkeeping.connected_class(ns.x, ns.bound, ns.k_range, ns.cap)
     result = {
         "base": win.base,
@@ -350,12 +337,11 @@ def _cmd_appendix_class(ns, cache):
         "count": len(win.members),
         "exact_within_bound": win.exact_within_bound,
     }
-    return params, result, 0
+    return result, 0
 
 
 def _cmd_verify_lemmas(ns, cache):
     from . import verify
-    params = {"bound": ns.bound, "n_cap": ns.n_cap, "seed": ns.seed}
     results = verify.run_lemma_suite(ns.bound, n_cap=ns.n_cap, sample_seed=ns.seed)
     total_failures = sum(len(r.failures) for r in results)
     checks = []
@@ -370,16 +356,15 @@ def _cmd_verify_lemmas(ns, cache):
         })
     result = {"checks": checks, "all_passed": total_failures == 0,
               "total_instances": sum(r.instances_tested for r in results)}
-    return params, result, 3 if total_failures else 0
+    return result, 3 if total_failures else 0
 
 
 def _cmd_verify_range(ns, cache):
     from . import verify
-    params = {"from": ns.lo, "to": ns.hi, "jobs": ns.jobs,
-              "max_steps": ns.max_steps}
-    report = verify.verify_conjecture_range(ns.lo, ns.hi, max_steps=ns.max_steps,
-                                            workers=ns.jobs, cache=cache)
-    return params, vars(report), 0 if report.all_reach_one else 3
+    report = verify.verify_conjecture_range(getattr(ns, "from"), ns.to,
+                                            max_steps=ns.max_steps, workers=ns.jobs,
+                                            cache=cache)
+    return vars(report), 0 if report.all_reach_one else 3
 
 
 # The number-space rule, in one place: under these keys, at any depth, every
@@ -406,6 +391,10 @@ def _encode(value, number=False):
     return value
 
 
+# The parsed options that are not echoed under "parameters": the command's
+# name, the output format and the cache options.
+_ECHO_SKIP = frozenset({"command", "verify_mode", "json", "csv", "cache", "quiet"})
+
 _HANDLERS = {
     "orbit": _cmd_orbit,
     "map": _cmd_map,
@@ -429,7 +418,7 @@ _HANDLERS = {
 def _resolve_cache(ns) -> OrbitCache | None:
     # A sweep that does not start at 1 never reads or writes a cache, so it
     # refuses the flag and opens no COLLATZ_CACHE file.
-    if getattr(ns, "lo", 1) != 1:
+    if getattr(ns, "from", 1) != 1:
         if ns.cache:
             raise DomainError("--cache applies only to sweeps from 1")
         return None
@@ -492,7 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cache = _resolve_cache(ns) if "cache" in ns else None
         start = time.perf_counter()
-        params, result, code = _HANDLERS[command](ns, cache)
+        result, code = _HANDLERS[command](ns, cache)
+        params = {k: v for k, v in vars(ns).items()
+                  if v is not None and k not in _ECHO_SKIP}
         # Rebinding frees the plain values before the envelope is serialized.
         params, result = _encode(params), _encode(result)
         env = {

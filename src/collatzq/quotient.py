@@ -207,7 +207,7 @@ def _pruning_bound(r: int, bound: int, cap: int, level: list[int]) -> tuple[int,
     return 1 << longest, short // 64 + 1
 
 
-def _walk_class(y: int, n: int, bound: int, floor: int = 0) -> list[int]:
+def _walk_class(y: int, n: int, bound: int, floor: int) -> list[int]:
     # Unsorted members in [1, bound] of the level-n class whose n-th image is
     # y.  Below 1 the walk skips the self-loop, so the class of 1 is the
     # union of the walk's levels.

@@ -1,7 +1,8 @@
 """Golden envelopes: every subcommand's output, byte for byte.
 
 Each case runs `cli.main` in-process and compares its exit code, stdout and
-stderr with `golden_envelopes.json`.  Only the wall-clock fields vary from
+stderr with `golden_envelopes.json`, which holds 88 envelopes: 44 cases, each
+in JSON and CSV.  Only the wall-clock fields vary from
 run to run: the envelope's `timing` and each lemma check's `elapsed` are
 masked in both JSON and CSV output before the comparison.
 
@@ -38,6 +39,9 @@ _CASES = [
     ("map-xi", ["map", "5", "--op", "xi"], None),
     ("map-tau", ["map", "5", "--op", "tau"], None),
     ("map-S", ["map", "1", "--op", "S", "--k", "3"], None),
+    # --k left out: the envelope echoes the default k = 1 for S and f.
+    ("map-S-default", ["map", "1", "--op", "S"], None),
+    ("map-f-default", ["map", "7", "--op", "f"], None),
     ("map-f-back", ["map", "5", "--op", "f", "--k", "-2"], None),
     ("map-f-forward", ["map", "7", "--op", "f", "--k", "4"], None),
     ("map-big", ["map", str(2**80 + 1), "--op", "tau"], None),
