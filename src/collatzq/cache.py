@@ -16,10 +16,12 @@ The file only ever grows.  Re-storing an identical record is a no-op;
 a record that disagrees with what the cache already holds is an integrity
 error (a cache must never contain two answers for one key).  Processes
 coordinate through ``flock`` on the file itself (POSIX): a load holds a
-shared lock while it reads, and a store appends its whole batch with one
-``O_APPEND`` write under an exclusive lock, so concurrent writers never
-interleave their lines and a reader never sees half a batch.  A last line
-with no trailing newline that does not parse is reported as a torn append.
+shared lock while it reads, and every write, the header included, is one
+``O_APPEND`` write under an exclusive lock, with the header put first when
+the file is empty.  So concurrent writers never interleave their lines, a
+reader never sees half a batch, and processes that open one fresh path at
+once leave exactly one header.  A zero-byte file is an empty cache.  A
+last line with no trailing newline that does not parse is a torn append.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ def _parse_decimal(value: object, what: str, lineno: int, path: Path) -> int:
 class OrbitCache:
     """Orbit summaries keyed by starting value, mirrored to a file.
 
-    Opening a missing path creates a fresh cache (header only).  Opening an
-    existing file loads and validates every line; any malformed line or
-    internal conflict raises CacheError naming the offending line.  A file
-    that cannot be created, read or appended to raises CacheError naming
-    the path.
+    Opening a missing path creates a fresh cache (header only), through the
+    same locked append as every store.  Opening an existing file loads and
+    validates every line; a zero-byte file is an empty cache, and any
+    malformed line or internal conflict raises CacheError naming the
+    offending line.  A file that cannot be created, read or appended to
+    raises CacheError naming the path.
 
     Callers compute every record themselves and offer it to store or
     store_many, so the cache checks numbers and never supplies them.  Only
@@ -68,28 +71,18 @@ class OrbitCache:
         self._entries: dict[int, CacheEntry] = {}
         self.hits = 0
         self.misses = 0
+        self.created = True
         try:
-            self.created = self._create()
-            if not self.created:
+            try:
+                self._append(b"", os.O_CREAT | os.O_EXCL)
+            except FileExistsError:
+                self.created = False
                 self._load()
         except OSError as exc:
             raise CacheError(f"{self.path}: {exc.strerror or exc}") from exc
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _create(self) -> bool:
-        """Write the header into a new file; False when the path exists."""
-        try:
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except FileExistsError:
-            return False
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            os.write(fd, (json.dumps(HEADER) + "\n").encode("ascii"))
-        finally:
-            os.close(fd)
-        return True
 
     def _read_lines(self) -> tuple[list[str], bool]:
         """The file's lines, read under a shared lock, and whether the last
@@ -110,7 +103,7 @@ class OrbitCache:
     def _load(self) -> None:
         lines, unterminated = self._read_lines()
         if not lines:
-            raise CacheError(f"{self.path}: line 1: missing header")
+            return  # zero bytes: the first append writes the header
         try:
             head = json.loads(lines[0])
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -178,16 +171,19 @@ class OrbitCache:
                 self.hits += 1
         if new_lines:
             try:
-                self._append("".join(new_lines).encode("ascii"))
+                self._append("".join(new_lines).encode("ascii"), 0)
             except OSError as exc:
                 raise CacheError(f"{self.path}: {exc.strerror or exc}") from exc
 
-    def _append(self, batch: bytes) -> None:
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND)
+    def _append(self, batch: bytes, flags: int) -> None:
+        # The one write path; creating a file is appending b"" to it.
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | flags, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
+            if not size:
+                batch = (json.dumps(HEADER) + "\n").encode("ascii") + batch
+            elif os.pread(fd, 1, size - 1) != b"\n":
                 batch = b"\n" + batch  # start on a new line after an unterminated one
             view = memoryview(batch)
             while view:

@@ -12,11 +12,12 @@ counts, seeds) are plain integers.  Handlers return plain Python values, and
 the rule is applied once, by ``_encode``, to the keys named in
 ``_NUMBER_KEYS``.
 
-Each handler returns only ``(result, exit_code)``.  ``main`` echoes the parsed
-options under ``parameters``: every option of the command except the output
-format and the cache options, in declaration order, with defaults filled in;
-an option left unset (None) is omitted.  A handler that fills in a default
-writes it back to the namespace, so the echo shows the value used.
+Each leaf parser names its handler, so the parser is the one list of
+commands.  A handler returns only ``(result, exit_code)``.  ``main`` echoes
+the parsed options under ``parameters``: every option of the command except
+the output format and the cache options, in declaration order, with defaults
+filled in; an option left unset (None) is omitted.  A handler that fills in
+a default writes it back to the namespace, so the echo shows the value used.
 
 Exit status: 0 success; 1 usage error; 2 domain, resource (out of memory
 among them), or cache error; 3 mathematical finding (a cycle, a lemma
@@ -57,6 +58,8 @@ def _build_parser() -> _Parser:
     # Each option sits only on the commands that read it: the output format
     # on every leaf command, the cache on the two that take one.  main
     # attaches a cache exactly when the parsed namespace has a "cache".
+    # Each leaf parser names its handler ("run"); a verify leaf also sets
+    # "command", over the "verify" that the top-level subparsers stored.
     output = argparse.ArgumentParser(add_help=False)
     fmt = output.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON envelope output (default)")
@@ -72,33 +75,39 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("orbit", parents=[cached], help="forward trajectory of one element")
+    p.set_defaults(run=_cmd_orbit)
     p.add_argument("x", type=int)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--trace", action="store_true", help="include the full trajectory")
 
     p = sub.add_parser("map", parents=[output], help="apply one map to one element")
+    p.set_defaults(run=_cmd_map)
     p.add_argument("x", type=int)
     p.add_argument("--op", choices=["T", "S", "xi", "tau", "f"], default="T")
     p.add_argument("--k", type=int, default=None,
                    help="iteration count for S (>= 0) and f (signed)")
 
     p = sub.add_parser("preimage", parents=[output], help="preimages of an element up to a bound")
+    p.set_defaults(run=_cmd_preimage)
     p.add_argument("y", type=int)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--u0-only", action="store_true")
 
     p = sub.add_parser("class", parents=[output], help="level-n equivalence class on a window")
+    p.set_defaults(run=_cmd_class)
     p.add_argument("x", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--method", choices=["scan", "bfs"], default="scan")
 
     p = sub.add_parser("class-inf", parents=[output], help="limit-level class on a window")
+    p.set_defaults(run=_cmd_class_inf)
     p.add_argument("x", type=int)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--cap", type=int, default=1_000)
 
     p = sub.add_parser("delta", parents=[output], help="minimal class element at one or many levels")
+    p.set_defaults(run=_cmd_delta)
     p.add_argument("x", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--n", type=int, default=None)
@@ -107,26 +116,31 @@ def _build_parser() -> _Parser:
                    help="last level for --sequence (default 10)")
 
     p = sub.add_parser("merge", parents=[output], help="first level at which two elements merge")
+    p.set_defaults(run=_cmd_merge)
     p.add_argument("x", type=int)
     p.add_argument("z", type=int)
     p.add_argument("--cap", type=int, default=1_000)
 
     p = sub.add_parser("tstar", parents=[output], help="induced map on minimal representatives")
+    p.set_defaults(run=_cmd_tstar)
     p.add_argument("x", type=int)
     p.add_argument("--cap", type=int, default=1_000)
 
     p = sub.add_parser("partition", parents=[output], help="level-n partition of a window")
+    p.set_defaults(run=_cmd_partition)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("witness", parents=[output],
                        help="element separating consecutive levels")
+    p.set_defaults(run=_cmd_witness)
     p.add_argument("x", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--search-cap", type=int, default=10**6)
 
     p = sub.add_parser("matrix", parents=[output],
                        help="bookkeeping window: classes and minima around a base")
+    p.set_defaults(run=_cmd_matrix)
     p.add_argument("x", type=int)
     p.add_argument("--k-min", type=int, default=-3)
     p.add_argument("--k-max", type=int, default=3)
@@ -134,15 +148,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--bound", type=int, default=10_000)
 
     p = sub.add_parser("census", parents=[output], help="class-of-one growth per level")
+    p.set_defaults(run=_cmd_census)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--bound", type=int, default=10_000)
 
     p = sub.add_parser("suffset", parents=[output], help="sufficient set check or membership")
+    p.set_defaults(run=_cmd_suffset)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--members", action="store_true")
 
     p = sub.add_parser("appendix-class", parents=[output],
                        help="union of limit-level classes along a two-sided orbit")
+    p.set_defaults(run=_cmd_appendix_class)
     p.add_argument("x", type=int)
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--k-range", type=int, default=3)
@@ -152,11 +169,13 @@ def _build_parser() -> _Parser:
     vsub = pv.add_subparsers(dest="verify_mode", required=True, parser_class=_Parser)
 
     p = vsub.add_parser("lemmas", parents=[output], help="run the lemma check suite")
+    p.set_defaults(run=_cmd_verify_lemmas, command="verify lemmas")
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--n-cap", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
 
     p = vsub.add_parser("range", parents=[cached], help="verify a range reaches 1")
+    p.set_defaults(run=_cmd_verify_range, command="verify range")
     p.add_argument("--from", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -166,9 +185,9 @@ def _build_parser() -> _Parser:
 
 
 # --------------------------------------------------------------------------
-# command handlers: each returns (result, exit_code) as plain Python values;
-# main echoes the parsed options as the parameters and encodes both (see
-# _ECHO_SKIP and _NUMBER_KEYS)
+# command handlers, each named by its leaf parser: each returns (result,
+# exit_code) as plain Python values; main echoes the parsed options as the
+# parameters and encodes both (see _ECHO_SKIP and _NUMBER_KEYS)
 
 def _cmd_orbit(ns, cache):
     from . import core
@@ -392,27 +411,8 @@ def _encode(value, number=False):
 
 
 # The parsed options that are not echoed under "parameters": the command's
-# name, the output format and the cache options.
-_ECHO_SKIP = frozenset({"command", "verify_mode", "json", "csv", "cache", "quiet"})
-
-_HANDLERS = {
-    "orbit": _cmd_orbit,
-    "map": _cmd_map,
-    "preimage": _cmd_preimage,
-    "class": _cmd_class,
-    "class-inf": _cmd_class_inf,
-    "delta": _cmd_delta,
-    "merge": _cmd_merge,
-    "tstar": _cmd_tstar,
-    "partition": _cmd_partition,
-    "witness": _cmd_witness,
-    "matrix": _cmd_matrix,
-    "census": _cmd_census,
-    "suffset": _cmd_suffset,
-    "appendix-class": _cmd_appendix_class,
-    "verify lemmas": _cmd_verify_lemmas,
-    "verify range": _cmd_verify_range,
-}
+# name and handler, the output format and the cache options.
+_ECHO_SKIP = frozenset({"command", "verify_mode", "run", "json", "csv", "cache", "quiet"})
 
 
 def _resolve_cache(ns) -> OrbitCache | None:
@@ -477,17 +477,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 1
 
-    command = ns.command if ns.command != "verify" else f"verify {ns.verify_mode}"
     try:
         cache = _resolve_cache(ns) if "cache" in ns else None
         start = time.perf_counter()
-        result, code = _HANDLERS[command](ns, cache)
+        result, code = ns.run(ns, cache)
         params = {k: v for k, v in vars(ns).items()
                   if v is not None and k not in _ECHO_SKIP}
         # Rebinding frees the plain values before the envelope is serialized.
         params, result = _encode(params), _encode(result)
         env = {
-            "command": command,
+            "command": ns.command,
             "parameters": params,
             "result": result,
             "timing": round(time.perf_counter() - start, 6),

@@ -96,6 +96,17 @@ def test_missing_header(tmp_path):
     assert "line 1" in str(exc.value)
 
 
+def test_zero_byte_file_is_an_empty_cache(tmp_path):
+    # What a creator leaves before its first append, or if it dies first.
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"")
+    cache = OrbitCache(path)
+    assert not cache.created
+    assert len(cache) == 0
+    cache.store(7, 5, 17)
+    assert path.read_text() == HEADER + '{"x": "7", "steps": 5, "max": "17"}\n'
+
+
 def test_wrong_header_version(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"format": "collatz-cache", "version": 2}\n')
@@ -280,6 +291,27 @@ class TestConcurrentWriters:
         # A writer stores the part of the overlap its load did not see.
         assert 1 + 9000 <= len(lines) <= 1 + 6000 + 6000
         assert all(line.endswith("}") for line in lines)
+
+    def test_store_before_the_creators_lock_leaves_one_header(self, tmp_path, monkeypatch):
+        # Another process opens the fresh file and stores between the
+        # creator's O_EXCL open and its exclusive lock.
+        path = tmp_path / "c.jsonl"
+        real_flock = fcntl.flock
+        raced = []
+
+        def flock(fd, operation):
+            if operation == fcntl.LOCK_EX and not raced:
+                raced.append(True)
+                OrbitCache(path).store(7, 5, 17)
+            real_flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        cache = OrbitCache(path)
+        assert raced and cache.created
+        assert path.read_text() == HEADER + '{"x": "7", "steps": 5, "max": "17"}\n'
+        reloaded = OrbitCache(path)
+        assert len(reloaded) == 1
+        assert reloaded.lookup(7) == CacheEntry(5, 17)
 
     def test_store_waits_for_exclusive_lock(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -143,6 +143,98 @@ class TestLemmaSuite:
                 assert set(f) == {"x", "z", reasons[f["reason"]], "reason"}
 
 
+# One fault per failure payload of the lemma checks: each lies on one input
+# and is called as lie(real, *args).  Each case runs its check alone, since a
+# fault may break another check (a preimage table without key 5 makes L-D1
+# raise KeyError), and looks for the payload the fault must produce.
+def _shift_lie(real, x, k=1):
+    return real(x, k) + 2 if (x, k) == (1, 1) else real(x, k)
+
+
+def _preimages_lie(at):
+    def lie(real, y, bound, u0_only=False):
+        found = real(y, bound, u0_only=u0_only)
+        return found[:-1] if (y, u0_only) == at else found
+    return lie
+
+
+def _table_lie(real, zs, ymax):
+    table = real(zs, ymax)
+    del table[5]
+    return table
+
+
+def _class_lie(real, x, n, bound, method="scan"):
+    # 5 is in every window and has the restricted preimage 13.
+    win = real(x, n, bound, method=method)
+    return dataclasses.replace(win, members=sorted({*win.members, 5}))
+
+
+_TAU_5_IMAGE = 3 * core.tau(5) + 1
+
+_LEMMA_FAULTS = [
+    pytest.param("L-TS", core, "shift", _shift_lie,
+                 {"x", "step_of_shift", "step"}, {"x": 1}, id="L-TS"),
+    pytest.param("L-TSK", core, "shift", _shift_lie,
+                 {"x", "k", "step_of_shift", "step"}, {"x": 1, "k": 1}, id="L-TSK"),
+    pytest.param("L-SCF", core, "shift", _shift_lie,
+                 {"x", "k", "closed_form", "iterated"}, {"x": 1, "k": 1}, id="L-SCF"),
+    pytest.param("L-XI", core, "xi", lambda real, y: 7 if y == 5 else real(y),
+                 {"y", "xi", "brute_min"}, {"y": 5, "xi": 7}, id="L-XI"),
+    pytest.param("L-PRE", core, "preimages", _preimages_lie((5, False)),
+                 {"y", "bound", "chain", "brute"}, {"y": 5}, id="L-PRE-chain"),
+    pytest.param("L-PRE", core, "preimages", _preimages_lie((7, True)),
+                 {"y", "bound", "chain_u0", "brute_u0"}, {"y": 7}, id="L-PRE-chain_u0"),
+    pytest.param("L-SURJ", verify_mod, "_preimage_table", _table_lie,
+                 {"y", "searched_up_to"}, {"y": 5}, id="L-SURJ"),
+    pytest.param("L-FIX", core, "collatz_step", lambda real, x: 5 if x == 5 else real(x),
+                 {"x"}, {"x": 5}, id="L-FIX"),
+    pytest.param("L-A2", verify_mod.quotient, "strict_inclusion_witness",
+                 lambda real, x, n, search_cap: x,
+                 {"x", "n", "witness", "same_at_next_level", "differs_at_level"},
+                 {"same_at_next_level": True, "differs_at_level": False}, id="L-A2"),
+    pytest.param("L-A6", verify_mod.quotient, "class_n", _class_lie,
+                 {"x", "n", "z", "in_level_n_plus_1", "image_in_level_n"},
+                 {"z": 5, "in_level_n_plus_1": True, "image_in_level_n": False}, id="L-A6"),
+    pytest.param("L-CI", verify_mod.quotient, "class_n", _class_lie,
+                 {"x", "n", "image", "reason"}, {"image": 1, "reason": "image left the class"},
+                 id="L-CI-image"),
+    pytest.param("L-CI", verify_mod.quotient, "class_n", _class_lie,
+                 {"x", "n", "member", "reason"}, {"member": 5, "reason": "member not covered"},
+                 id="L-CI-member"),
+    pytest.param("L-D1", verify_mod.quotient, "delta_n", lambda real, x, n: real(x, n) + 2,
+                 {"x", "delta_1", "brute_level1_min"}, {}, id="L-D1"),
+    pytest.param("L-SUFF", core, "nu2", lambda real, y: 9 if y == _TAU_5_IMAGE else real(y),
+                 {"x", "tau", "nu2"}, {"x": 5, "nu2": 9}, id="L-SUFF"),
+]
+
+
+class TestLemmaFailureBranches:
+    @pytest.mark.parametrize("check_id, module, name, lie, keys, values", _LEMMA_FAULTS)
+    def test_fault_reaches_the_failure_payload(self, monkeypatch, check_id, module, name,
+                                               lie, keys, values):
+        monkeypatch.setattr(module, name, functools.partial(lie, getattr(module, name)))
+        check = dict(verify_mod._CHECKS)[check_id]
+        _, _, failures = check(100, 5, random.Random(f"0:{check_id}"))
+        assert any(set(f) == keys and values.items() <= f.items() for f in failures), failures
+
+    def test_cli_prints_the_real_payloads(self, monkeypatch, capsys):
+        from collatzq.cli import main
+
+        monkeypatch.setattr(core, "shift", functools.partial(_shift_lie, core.shift))
+        code = main(["verify", "lemmas", "--bound", "100"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 3
+        assert result["all_passed"] is False
+        failures = {c["check_id"]: c["failures"] for c in result["checks"] if c["failure_count"]}
+        # Every int under "failures" is in the number space, k included.
+        assert failures == {
+            "L-TS": [{"x": "1", "step_of_shift": "11", "step": "1"}],
+            "L-TSK": [{"x": "1", "k": "1", "step_of_shift": "11", "step": "1"}],
+            "L-SCF": [{"x": "1", "k": "1", "closed_form": "7", "iterated": "5"}],
+        }
+
+
 class TestRangeSweep:
     def test_small_range_exact_statistics(self):
         report = verify_conjecture_range(1, 100, max_steps=100)
