@@ -13,8 +13,8 @@ except where the floor 1 is reached (from there the value provably stays).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import _require_at_least, _require_u0, _trajectory, iterate, nu2, tau, u0_range
 from .errors import DomainError, ResourceLimitError
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class BookkeepingWindow:
+class BookkeepingWindow(NamedTuple):
     """A finite rectangle of the class and minima matrices of one base.
 
     class_cells[(k, n)] is the level-n class window of the k-th iterate;
@@ -55,8 +54,7 @@ class BookkeepingWindow:
     delta_star_window: int
 
 
-@dataclass
-class SufficientSetReport:
+class SufficientSetReport(NamedTuple):
     """Result of the membership check for minimal preimages.
 
     For every x in the window, the 2-adic valuation of 3*tau(x)+1 is

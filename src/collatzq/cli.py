@@ -10,7 +10,9 @@ bounds, excursions, minima) are decimal strings, so arbitrary precision
 survives JSON; structural quantities (levels, step counts, sizes, worker
 counts, seeds) are plain integers.  Handlers return plain Python values, and
 the rule is applied once, by ``_encode``, to the keys named in
-``_NUMBER_KEYS``.
+``_NUMBER_KEYS``.  Inside a lemma failure payload the shift count ``k``, the
+level ``n``, ``merge_time``, ``image_merge_time`` and ``nu2`` stay integers
+(``_STRUCTURAL_KEYS``); every other int there is a decimal string.
 
 Each leaf parser names its handler, so the parser is the one list of
 commands.  A handler returns only ``(result, exit_code)``.  ``main`` echoes
@@ -383,7 +385,7 @@ def _cmd_verify_range(ns, cache):
     report = verify.verify_conjecture_range(getattr(ns, "from"), ns.to,
                                             max_steps=ns.max_steps, workers=ns.jobs,
                                             cache=cache)
-    return vars(report), 0 if report.all_reach_one else 3
+    return report._asdict(), 0 if report.all_reach_one else 3
 
 
 # The number-space rule, in one place: under these keys, at any depth, every
@@ -396,11 +398,15 @@ _NUMBER_KEYS = frozenset({
     "delta_star_window", "violations", "failures", "max_excursion_observed",
     "cycles_found", "truncated_elements",
 })
+# Structural keys under a number key (a lemma failure payload): the
+# inherited rule stops there.
+_STRUCTURAL_KEYS = frozenset({"k", "n", "merge_time", "image_merge_time", "nu2"})
 
 
 def _encode(value, number=False):
     if isinstance(value, dict):
-        return {k: _encode(v, number or k in _NUMBER_KEYS) for k, v in value.items()}
+        return {k: _encode(v, (number or k in _NUMBER_KEYS) and k not in _STRUCTURAL_KEYS)
+                for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         if number and all(type(v) is int for v in value):
             return [str(v) for v in value]

@@ -25,8 +25,7 @@ The central maps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
 
@@ -218,8 +217,7 @@ def preimages(y: int, bound: int, u0_only: bool = False) -> list[int]:
     return out
 
 
-@dataclass
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """Summary of a forward trajectory under the accelerated step.
 
     Exactly one of three outcomes holds: the trajectory reached 1

@@ -15,9 +15,8 @@ non-equivalent, it just stops the window from being certified complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (_iterate, _meet, _require_at_least, _require_u0, _step, _trajectory,
                     _u0_count, tau, u0_range)
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ClassWindow:
+class ClassWindow(NamedTuple):
     """Members of one equivalence class intersected with [1, bound].
 
     level is the equivalence level; None marks the limit-level relation.
@@ -56,8 +54,7 @@ class ClassWindow:
     exact_within_bound: bool = True
 
 
-@dataclass
-class DeltaSequence:
+class DeltaSequence(NamedTuple):
     """Minimal class elements of one base at levels 0..N.
 
     values[n] is the smallest element equivalent to the base at level n.
@@ -72,8 +69,7 @@ class DeltaSequence:
     stabilization_index: int | None = None
 
 
-@dataclass
-class MergeResult:
+class MergeResult(NamedTuple):
     """Outcome of the synchronous equivalence test for a pair.
 
     merge_time is the first level at which the forward images agree, or

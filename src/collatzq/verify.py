@@ -36,9 +36,8 @@ import os
 import random
 import time
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import core, quotient
 from .core import _require_at_least, _u0_count, u0_range
@@ -57,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class LemmaCheckResult:
+class LemmaCheckResult(NamedTuple):
     """One check of the suite: what was tested, how much, and what failed.
 
     Every entry of ``failures`` is a plain dict of concrete inputs and the
@@ -68,12 +66,11 @@ class LemmaCheckResult:
     check_id: str
     range_description: str
     instances_tested: int
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
     elapsed: float = 0.0
 
 
-@dataclass
-class RangeVerificationReport:
+class RangeVerificationReport(NamedTuple):
     """Aggregate outcome of one range sweep.
 
     all_reach_one is true exactly when no cycle was found and no element
@@ -88,8 +85,8 @@ class RangeVerificationReport:
     all_reach_one: bool
     max_steps_observed: int
     max_excursion_observed: int
-    cycles_found: list[int] = field(default_factory=list)
-    truncated_elements: list[int] = field(default_factory=list)
+    cycles_found: list[int]
+    truncated_elements: list[int]
 
 
 # --------------------------------------------------------------------------

@@ -200,6 +200,21 @@ class TestEnvelope:
                 continue
             assert rows[key] == value
 
+    def test_failure_payloads_keep_structural_ints(self):
+        # Inside "failures" every int is a number unless its key is structural.
+        failures = [
+            {"x": 1, "k": 1, "step": 1},
+            {"x": 7, "n": 3, "witness": 241},
+            {"x": 7, "z": 9, "merge_time": 4, "image_merge_time": 5},
+            {"x": 5, "tau": 13, "nu2": 6},
+        ]
+        assert cli_mod._encode({"failures": failures}) == {"failures": [
+            {"x": "1", "k": 1, "step": "1"},
+            {"x": "7", "n": 3, "witness": "241"},
+            {"x": "7", "z": "9", "merge_time": 4, "image_merge_time": 5},
+            {"x": "5", "tau": "13", "nu2": 6},
+        ]}
+
     def test_stdout_has_exactly_one_envelope(self, capsys):
         _, out, _ = run_cli(capsys, "orbit", "17")
         assert out.count('"command"') == 1

@@ -34,12 +34,16 @@ def run_child(env, code):
 
 
 def modules_after_main(env, argv):
+    """Run cli.main(argv) in a fresh interpreter: its exit code, every module
+    loaded when it returns, and the modules loaded before collatzq was."""
     return run_child(env, f"""
         import contextlib, io, json, sys
+        preloaded = sorted(sys.modules)
         from collatzq import cli
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main({argv!r})
-        print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+        print(json.dumps({{"code": code, "modules": sorted(sys.modules),
+                          "preloaded": preloaded}}))
     """)
 
 
@@ -64,6 +68,24 @@ def test_verify_lemmas_loads_no_pool(child_env):
     assert out["code"] == 0
     assert "collatzq.verify" in out["modules"]
     assert "concurrent.futures.process" not in out["modules"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "1", "--op", "T"],
+    ["class", "1", "--n", "5", "--bound", "1000", "--method", "bfs"],
+    ["suffset", "--bound", "1000"],
+    ["verify", "lemmas", "--bound", "100"],
+    ["verify", "range", "--from", "1", "--to", "30000"],
+    ["verify", "range", "--from", "1000001", "--to", "1100000"],
+], ids=" ".join)
+def test_commands_load_neither_dataclasses_nor_inspect(child_env, argv):
+    # The records are named tuples; a @dataclass anywhere on a command's
+    # path loads dataclasses and, through it, inspect.  Whatever the
+    # interpreter's site already loaded does not count against collatzq.
+    out = modules_after_main(child_env, argv)
+    assert out["code"] == 0
+    loaded = set(out["modules"]) - set(out["preloaded"])
+    assert sorted(loaded & {"dataclasses", "inspect"}) == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
