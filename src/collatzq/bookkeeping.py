@@ -16,7 +16,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import _require_at_least, _require_u0, _trajectory, iterate, nu2, tau, u0_range
+from .core import (_require_at_least, _require_fits, _require_u0, _trajectory, iterate, nu2, tau,
+                   u0_range)
 from .errors import DomainError, ResourceLimitError
 from .quotient import ClassWindow, _meets, _walk, class_inf, delta_sequence
 
@@ -188,6 +189,7 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
     """
     _require_at_least(n_max, 0, "n_max")
     _require_at_least(bound, 1, "bound")
+    _require_fits(8 * (n_max + 1), f"a census of levels 0..{n_max}")
     try:
         first_hit = [len(level) for level in _walk(1, n_max, bound)]
     except ResourceLimitError:

@@ -25,9 +25,10 @@ The central maps:
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "OrbitRecord",
@@ -61,6 +62,18 @@ def _require_at_least(value: int, floor: int, name: str) -> int:
     if value < floor:
         raise DomainError(f"{name} must be >= {floor}, got {value}")
     return value
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_fits(nbytes: int, what: str) -> None:
+    # Refuse, before allocating it, state that cannot fit in physical memory.
+    have = _physical_memory()
+    if nbytes > have:
+        raise ResourceLimitError(f"{what} needs about {nbytes} bytes, more than the {have} "
+                                 f"bytes of physical memory")
 
 
 def is_u0(x: int) -> bool:

@@ -15,11 +15,11 @@ non-equivalent, it just stops the window from being certified complete.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator, NamedTuple
 
-from .core import (_iterate, _meet, _require_at_least, _require_u0, _step, _trajectory,
-                    _u0_count, tau, u0_range)
+from .core import (_iterate, _meet, _require_at_least, _require_fits, _require_u0, _step,
+                    _trajectory, _u0_count, tau, u0_range)
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -92,12 +92,6 @@ def _meets(targets: list[int], n: int, bound: int) -> Iterator[tuple[int, int]]:
             yield z, i
 
 
-def _level_min(targets: list[int], n: int, upto: int) -> int:
-    # The smallest element meeting targets by level n; upto is one, so the
-    # scan ends there at the latest.
-    return next((z for z, _ in _meets(targets, n, upto - 1)), upto)
-
-
 def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
     """The level-n class of x intersected with [1, bound], ascending.
 
@@ -130,7 +124,7 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
 _BFS_FLOOR = 1 << 16
 
 
-def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
+def _walk(root: int, n: int, bound: int, floor: int = 0, limit: int = 0) -> Iterator[list[int]]:
     """Yield the restricted-domain nodes in [1, bound] of levels 0..n of the
     preimage tree of root.
 
@@ -150,8 +144,8 @@ def _walk(root: int, n: int, bound: int, floor: int = 0) -> Iterator[list[int]]:
     a deep shift chain is built, and the walk raises ResourceLimitError.
     """
     window = bound // 3 + 1
-    budget, widest = window * n + floor, window + floor
-    left = budget
+    # A limit replaces both: limit nodes in all and limit words per level.
+    left, widest = (limit, limit) if limit else (window * n + floor, window + floor)
     level = [root]
     yield [z for z in level if z <= bound and z % 3]
     for depth in range(n):
@@ -214,31 +208,52 @@ def _walk_class(y: int, n: int, bound: int, floor: int) -> list[int]:
     return members
 
 
+def _least(targets: list[int], n: int, bound: int) -> int:
+    # The least z in [1, bound] with T^n z == T^n x, for targets = _trajectory(x, n) and
+    # bound such a z.  Turns of 1, 2, 4, ... candidates or nodes: the upward scan first, then
+    # the walk from T^n x, restarted with that limit and dropped past _BFS_FLOOR nodes.
+    # Candidate 1 settles a root of 1, whose walk would hold first hits only.
+    scan, turn = u0_range(1, bound), 1
+    root = targets[min(n, len(targets) - 1)]
+    while True:
+        for z in islice(scan, turn):
+            if _meet(z, targets, n) is not None:
+                return z
+        if turn <= _BFS_FLOOR:
+            try:
+                for level in _walk(root, n, bound, limit=turn):
+                    pass
+                return min(level)
+            except ResourceLimitError:
+                pass
+        turn *= 2
+
+
 def delta_n(x: int, n: int) -> int:
     """Smallest element equivalent to x at level n.
 
-    Exact upward scan: x itself is a member, so the scan terminates at x in
-    the worst case.
+    Exact: a race of two exact searches of [1, x]; x is a member.
     """
     _require_u0(x)
     _require_at_least(n, 0, "level")
     if n == 0:
         return x  # the level-0 class is {x}
-    return _level_min(_trajectory(x, n), n, x)
+    return _least(_trajectory(x, n), n, x)
 
 
 def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     """Minimal class elements of x at levels 0..n_max.
 
-    Classes are nested upward, so each level's scan only needs to run up to
-    the previous minimum; the result is still exact.
+    Classes are nested upward, so each level searches only up to the
+    previous minimum.  Exact: a race of two exact searches.
     """
     _require_u0(x)
     _require_at_least(n_max, 0, "n_max")
+    _require_fits(8 * (n_max + 1), f"a delta sequence of levels 0..{n_max}")
     targets = _trajectory(x, n_max)
     values = [x]
     for n in range(1, n_max + 1):
-        values.append(_level_min(targets, n, values[-1]))
+        values.append(_least(targets, n, values[-1]))
     stab = values.index(1) if 1 in values else None
     return DeltaSequence(base=x, values=values, stabilization_index=stab)
 

@@ -40,8 +40,8 @@ from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import core, quotient
-from .core import _require_at_least, _u0_count, u0_range
-from .errors import DomainError, ResourceLimitError
+from .core import _require_at_least, _require_fits, _u0_count, u0_range
+from .errors import DomainError
 from .jump import _SIEVE_MOD, _jump_table, _sieve_table, _survivor_outcome
 
 if TYPE_CHECKING:
@@ -525,10 +525,6 @@ def _prefix_bytes(hi: int) -> int:
     return 8 * (hi // 3 + 1) + 13 * _u0_count(1, hi) + (1 << 16)
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _chunk_spans(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     span = hi - lo + 1
     n_chunks = min(max(1, workers * 4), max(1, span // 10_000 + 1))
@@ -585,13 +581,7 @@ def verify_conjecture_range(
     _require_at_least(max_steps, 1, "max_steps")
     _require_at_least(workers, 1, "workers")
     if lo == 1:
-        need, have = _prefix_bytes(hi), _physical_memory()
-        if need > have:
-            raise ResourceLimitError(
-                f"a sweep of [1, {hi}] needs about {need} bytes of per-element state, "
-                f"more than the {have} bytes of physical memory; sweep a shorter "
-                f"prefix and continue above it with lo > 1"
-            )
+        _require_fits(_prefix_bytes(hi), f"a sweep of [1, {hi}]")
         kernel = _sweep_chunk
     else:
         kernel = _sieve_chunk

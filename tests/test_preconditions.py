@@ -3,7 +3,8 @@
 One case per check that rejects an argument with a DomainError: each
 public entry point is called once with one argument out of range, and the
 message must match exactly.  The 26 "must be >= floor" rules come first,
-in module order, then the hand-worded ones.
+in module order, then the hand-worded ones.  Last come the refusals of
+state that cannot fit in physical memory (ResourceLimitError).
 """
 
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from collatzq import bookkeeping, core, quotient, verify
 from collatzq.cli import main
-from collatzq.errors import DomainError
+from collatzq.errors import DomainError, ResourceLimitError
 
 
 def case(id, call, text):
@@ -91,3 +92,41 @@ def test_cli_k_rule_is_one_exact_line(capsys):
     assert main(["map", "7", "--op", "T", "--k", "2"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "collatzq: error: --k does not apply to op T\n")
+
+
+# Physical memory is pinned, so the refusals read the same on every machine.
+GIB = 1 << 30
+LEVELS = 2**64 + 1  # past sys.maxsize: a list of that many levels cannot even be indexed
+
+TOO_BIG = [
+    case("census-levels", lambda: bookkeeping.census_class_of_one(LEVELS, 10),
+         "a census of levels 0..18446744073709551617 needs about 147573952589676412944 bytes, "
+         "more than the 1073741824 bytes of physical memory"),
+    case("delta_sequence-levels", lambda: quotient.delta_sequence(7, LEVELS),
+         "a delta sequence of levels 0..18446744073709551617 needs about "
+         "147573952589676412944 bytes, more than the 1073741824 bytes of physical memory"),
+    case("range-prefix", lambda: verify.verify_conjecture_range(1, 10**15),
+         "a sweep of [1, 1000000000000000] needs about 7000000000065537 bytes, "
+         "more than the 1073741824 bytes of physical memory"),
+]
+
+
+@pytest.mark.parametrize("call, text", TOO_BIG)
+def test_refusal_is_exact(call, text, monkeypatch):
+    monkeypatch.setattr(core, "_physical_memory", lambda: GIB)
+    with pytest.raises(ResourceLimitError, match="^" + re.escape(text) + "$"):
+        call()
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["census", "--n-max", str(LEVELS), "--bound", "10"], "a census"),
+    (["delta", "7", "--sequence", "--max-n", str(LEVELS)], "a delta sequence"),
+])
+def test_cli_refuses_unfit_levels_in_one_line(capsys, monkeypatch, argv, what):
+    monkeypatch.setattr(core, "_physical_memory", lambda: GIB)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"collatzq: error: {what} of levels 0..{LEVELS} needs about "
+                            f"{8 * (LEVELS + 1)} bytes, more than the {GIB} bytes of "
+                            f"physical memory\n")

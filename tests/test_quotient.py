@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collatzq import (
     DomainError,
@@ -22,6 +24,7 @@ from collatzq import (
     tstar_apply,
     u0_range,
 )
+from collatzq import quotient as quotient_mod
 from collatzq.core import _meet, _trajectory
 
 
@@ -152,7 +155,10 @@ class TestDelta:
         assert delta_n(1, 0) == 1
 
     def test_small_minimum_of_a_large_base_is_found_at_once(self, monkeypatch):
-        # x = 31 * 4^k + (4^k - 1)/3 has T(x) = T(31) = 47, so from level 1 on
+        U0_TO_1E6 = st.tuples(st.integers(min_value=0, max_value=166_665), st.sampled_from([1, 5])).map(
+    lambda t: 6 * t[0] + t[1]
+)
+# x = 31 * 4^k + (4^k - 1)/3 has T(x) = T(31) = 47, so from level 1 on
         # its minima are 31's.  Finding them tests at most the 11 candidates
         # up to 31 per level and holds no more than a trajectory, however
         # wide the preimage tree of T^n(x) within [1, x] is (here a walk of
@@ -207,6 +213,76 @@ class TestDelta:
                 d = delta_n(x, n)
                 assert d in class_n(x, n, x).members
                 assert class_n(d, n, 800).members == class_n(x, n, 800).members
+
+
+def scan_min(x, n):
+    # The oracle of delta_n: the first candidate of [1, x) in x's level-n class, else x.
+    met = quotient_mod._meets(_trajectory(x, n), n, x - 1)
+    return x if n == 0 else next((z for z, _ in met), x)
+
+
+def scan_minima(x, n_max):
+    # The oracle of delta_sequence, by one upward scan: a z whose orbit meets
+    # x's at level i is in every class from level i on, so the first such z
+    # is each level's minimum.  One that meets it at level 1 settles every
+    # level but 0, whose minimum is x, so the scan stops there.
+    values = [x] * (n_max + 1)
+    for z, i in quotient_mod._meets(_trajectory(x, n_max), n_max, x - 1):
+        values[i:] = [min(v, z) for v in values[i:]]
+        if i == 1:
+            break
+    return values
+
+
+U0_TO_1E6 = st.tuples(st.integers(min_value=0, max_value=166_665), st.sampled_from([1, 5])).map(
+    lambda t: 6 * t[0] + t[1]
+)
+# x = 31 * 4^k + (4^k - 1)/3 has T(x) = T(31): its minima are 31's from level 1 on.
+SHIFTED_31 = [31 * 4**k + (4**k - 1) // 3 for k in (1, 7, 9)]
+
+
+class TestRace:
+    """delta_n races the walk against the scan; the scan stays the oracle."""
+
+    @given(U0_TO_1E6, st.integers(min_value=0, max_value=40))
+    @example(SHIFTED_31[0], 20)
+    @example(SHIFTED_31[1], 20)
+    @example(SHIFTED_31[2], 20)
+    @example(999_995, 0)
+    @example(999_997, 1)
+    @example(871, 60)  # T^60(871) is not yet 1
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_race_equals_scan(self, x, n):
+        assert delta_n(x, n) == scan_min(x, n)
+        assert delta_sequence(x, n).values == scan_minima(x, n)
+
+    def test_walk_past_its_cap_is_dropped_and_the_scan_answers(self, monkeypatch):
+        # At level 60 the walk from T^60(x) passes _BFS_FLOOR nodes, so its
+        # turns stop there, and the scan alone goes on, past 2^18 candidates,
+        # to the minimum, x itself.  The walk is what holds memory: a level
+        # holds at most _BFS_FLOOR 64-bit words, and a node of w words takes
+        # under 28 + 9w bytes plus two 8-byte list slots, so the two live
+        # levels take under 2 * 64 bytes per word of the cap.  The scan holds
+        # one trajectory; tracing it would make the test take 30 s.
+        x = 1_000_427
+        walk = quotient_mod._walk
+        turns, peaks = [], []
+
+        def traced(*args, limit):
+            turns.append(limit)
+            tracemalloc.start()
+            try:
+                yield from walk(*args, limit=limit)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(quotient_mod, "_walk", traced)
+        assert delta_n(x, 60) == x
+        assert turns == [1 << k for k in range(17)] and turns[-1] == quotient_mod._BFS_FLOOR
+        assert max(peaks) < 2 * 64 * quotient_mod._BFS_FLOOR
+        monkeypatch.undo()
+        assert scan_min(x, 60) == x
 
 
 class TestMerge:

@@ -472,9 +472,9 @@ class TestPrefixMemoryCap:
         arrays = 8 * (hi // 3 + 1) + len(segs) * segs.itemsize + len(drops) * drops.itemsize
         need = verify_mod._prefix_bytes(hi)
         assert arrays < need
-        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need)
         assert verify_conjecture_range(1, hi).all_reach_one
-        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
         with pytest.raises(ResourceLimitError):
             verify_conjecture_range(1, hi)
         # Above 1 the sweep keeps no per-element arrays.
@@ -498,12 +498,12 @@ class TestPrefixMemoryCap:
     def test_cached_sweep_refused_at_its_own_cost(self, tmp_path, monkeypatch):
         hi = 3_000
         need = verify_mod._prefix_bytes(hi)
-        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
         cache = OrbitCache(tmp_path / "c.jsonl")
         with pytest.raises(ResourceLimitError, match="physical memory"):
             verify_conjecture_range(1, hi, cache=cache)
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        monkeypatch.setattr(verify_mod, "_physical_memory", lambda: need)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need)
         assert verify_conjecture_range(1, hi, cache=cache).all_reach_one
 
 
