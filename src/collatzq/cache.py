@@ -19,9 +19,10 @@ coordinate through ``flock`` on the file itself (POSIX): a load holds a
 shared lock while it reads, and every write, the header included, is one
 ``O_APPEND`` write under an exclusive lock, with the header put first when
 the file is empty.  So concurrent writers never interleave their lines, a
-reader never sees half a batch, and processes that open one fresh path at
-once leave exactly one header.  A zero-byte file is an empty cache.  A
-last line with no trailing newline that does not parse is a torn append.
+reader never sees half a batch, and processes whose first stores race to
+one fresh path leave exactly one header.  A missing or zero-byte file is an
+empty cache, and only a store creates the file.  A last line with no
+trailing newline that does not parse is a torn append.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ def _parse_decimal(value: object, what: str, lineno: int, path: Path) -> int:
 class OrbitCache:
     """Orbit summaries keyed by starting value, mirrored to a file.
 
-    Opening a missing path creates a fresh cache (header only), through the
-    same locked append as every store.  Opening an existing file loads and
-    validates every line; a zero-byte file is an empty cache, and any
-    malformed line or internal conflict raises CacheError naming the
-    offending line.  A file that cannot be created, read or appended to
-    raises CacheError naming the path.
+    Opening only reads: it loads and validates every line, a missing or
+    zero-byte file is an empty cache, and any malformed line or internal
+    conflict raises CacheError naming the offending line.  The first store
+    creates the file through the same locked append as every later one, and
+    created tells whether this cache wrote the header.  A file that cannot
+    be created, read or appended to raises CacheError naming the path.
 
     Callers compute every record themselves and offer it to store or
     store_many, so the cache checks numbers and never supplies them.  Only
@@ -71,13 +72,9 @@ class OrbitCache:
         self._entries: dict[int, CacheEntry] = {}
         self.hits = 0
         self.misses = 0
-        self.created = True
+        self.created = False
         try:
-            try:
-                self._append(b"", os.O_CREAT | os.O_EXCL)
-            except FileExistsError:
-                self.created = False
-                self._load()
+            self._load()
         except OSError as exc:
             raise CacheError(f"{self.path}: {exc.strerror or exc}") from exc
 
@@ -86,8 +83,12 @@ class OrbitCache:
 
     def _read_lines(self) -> tuple[list[str], bool]:
         """The file's lines, read under a shared lock, and whether the last
-        one lacks its trailing newline."""
-        with open(self.path, "rb") as fh:
+        one lacks its trailing newline; a missing file has none."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return [], False
+        with fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
             data = fh.read()
         try:
@@ -103,7 +104,7 @@ class OrbitCache:
     def _load(self) -> None:
         lines, unterminated = self._read_lines()
         if not lines:
-            return  # zero bytes: the first append writes the header
+            return  # no bytes: the first append writes the header
         try:
             head = json.loads(lines[0])
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -171,18 +172,19 @@ class OrbitCache:
                 self.hits += 1
         if new_lines:
             try:
-                self._append("".join(new_lines).encode("ascii"), 0)
+                self._append("".join(new_lines).encode("ascii"))
             except OSError as exc:
                 raise CacheError(f"{self.path}: {exc.strerror or exc}") from exc
 
-    def _append(self, batch: bytes, flags: int) -> None:
-        # The one write path; creating a file is appending b"" to it.
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | flags, 0o666)
+    def _append(self, batch: bytes) -> None:
+        # The one write path, and the only one that creates the file.
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
             if not size:
                 batch = (json.dumps(HEADER) + "\n").encode("ascii") + batch
+                self.created = True
             elif os.pread(fd, 1, size - 1) != b"\n":
                 batch = b"\n" + batch  # start on a new line after an unterminated one
             view = memoryview(batch)

@@ -51,6 +51,17 @@ _FAILURE_SAMPLE_LIMIT = 20
 class _Parser(argparse.ArgumentParser):
     # Usage problems must exit 1; argparse's default is 2, which this tool
     # reserves for domain and cache errors.
+    # A parser of commands or modes names what it expects.  An option placed
+    # before that would take the option's value for the command, so the
+    # error names the option instead.
+    expects = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if self.expects and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            self.error(f"option {args[0].split('=')[0]} must follow the {self.expects}")
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -74,6 +85,7 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="collatzq",
                      description="Accelerated Collatz map, quotient classes, and verification.")
+    parser.expects = "command"
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("orbit", parents=[cached], help="forward trajectory of one element")
@@ -168,6 +180,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=1_000)
 
     pv = sub.add_parser("verify", help="verification commands")
+    pv.expects = "verify mode"
     vsub = pv.add_subparsers(dest="verify_mode", required=True, parser_class=_Parser)
 
     p = vsub.add_parser("lemmas", parents=[output], help="run the lemma check suite")
@@ -432,10 +445,7 @@ def _resolve_cache(ns) -> OrbitCache | None:
     if not path:
         return None
     from .cache import OrbitCache
-    cache = OrbitCache(path)
-    if cache.created and not ns.quiet:
-        print(f"collatzq: created new cache file at {path}", file=sys.stderr)
-    return cache
+    return OrbitCache(path)
 
 
 def _emit_json(env) -> str:
@@ -487,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
         cache = _resolve_cache(ns) if "cache" in ns else None
         start = time.perf_counter()
         result, code = ns.run(ns, cache)
+        # Only a store creates the file, so a rejected command leaves none.
+        if cache is not None and cache.created and not ns.quiet:
+            print(f"collatzq: created new cache file at {cache.path}", file=sys.stderr)
         params = {k: v for k, v in vars(ns).items()
                   if v is not None and k not in _ECHO_SKIP}
         # Rebinding frees the plain values before the envelope is serialized.

@@ -206,6 +206,8 @@ def iterate(x: int, k: int) -> int:
     _require_u0(x)
     if k >= 0:
         return _iterate(x, k)
+    # A tau step multiplies a value by at most 16/3, under 3 bits.
+    _require_fits((x.bit_length() + 3 * -k) // 8, f"a backward iteration of {-k} steps")
     for _ in range(-k):
         x = tau(x)
     return x

@@ -249,7 +249,9 @@ def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     """
     _require_u0(x)
     _require_at_least(n_max, 0, "n_max")
-    _require_fits(8 * (n_max + 1), f"a delta sequence of levels 0..{n_max}")
+    # A level costs `delta --sequence` about 90 bytes at its peak, most of it
+    # the envelope's copy of the value (measured RSS, levels 2e5 to 1e6).
+    _require_fits(128 * (n_max + 1), f"a delta sequence of levels 0..{n_max}")
     targets = _trajectory(x, n_max)
     values = [x]
     for n in range(1, n_max + 1):

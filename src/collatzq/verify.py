@@ -20,11 +20,11 @@ Two layers:
   advances in blocks of 8 parity steps read from a 256-entry table whenever
   no value in the block can decide the report, and one exact step
   otherwise; ``jump`` builds both tables from one parity entry, and every
-  reported number is unchanged.  From 1 the chunks return each element's
-  segment, and one ascending pass composes the segments into exact steps
-  to 1.  An orbit cache takes no part in the sweep: afterwards it receives
-  the record holders, each recomputed from its full orbit, and any record
-  it already holds for them must agree.
+  reported number is unchanged.  From 1 one ascending pass in the calling
+  process iterates each element's segment and composes it at once into
+  exact steps to 1.  An orbit cache takes no part in the sweep: afterwards
+  it receives the record holders, each recomputed from its full orbit, and
+  any record it already holds for them must agree.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -453,26 +453,6 @@ def _segment_outcome(x: int, max_steps: int) -> tuple[str, int, int, int]:
     return ("truncated", s, 0, mx)
 
 
-def _sweep_chunk(args: tuple[int, int, int]) -> tuple:
-    # (segs, drops, climbs) over the elements of [lo, hi]: each segment's
-    # length and drop target (-1 for a cycle, -2 for a truncation), and the
-    # (x, peak) of each element whose segment peak beats every earlier
-    # element's peak in the chunk.
-    lo, hi, max_steps = args
-    segs = array("i")
-    drops = array("q")
-    climbs: list[tuple[int, int]] = []
-    top = 0
-    for x in u0_range(lo, hi):
-        kind, s, v, mx = _segment_outcome(x, max_steps)
-        segs.append(s)
-        drops.append(v if kind == "drop" else -1 if kind == "cycle" else -2)
-        if mx > top:
-            top = mx
-            climbs.append((x, mx))
-    return (segs, drops, climbs)
-
-
 def _top_member(r: int, period: int, lo: int, hi: int) -> int:
     """The largest x = r (mod period) in [lo, hi] with x % 3 != 0, or 0.
 
@@ -518,11 +498,9 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
 
 def _prefix_bytes(hi: int) -> int:
     # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
-    # third integer, 12 bytes of chunk arrays (segment length and drop
-    # target) per element, which growth by append over-allocates by up to
-    # 1/16, and 64 KiB for the rest: the chunks' climbs, the record holders
-    # and, with a cache, their records.
-    return 8 * (hi // 3 + 1) + 13 * _u0_count(1, hi) + (1 << 16)
+    # third integer, and 64 KiB for the rest: the record holders and, with a
+    # cache, their records.
+    return 8 * (hi // 3 + 1) + (1 << 16)
 
 
 def _chunk_spans(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
@@ -571,8 +549,10 @@ def verify_conjecture_range(
     of per element, and the rest jump 8 parity steps at a time where no
     value skipped can change the report, with the same report.
 
-    A sweep from 1 keeps per-element state, about 20 bytes per element; one
-    that would need more than the machine's physical memory raises
+    Only a sweep above 1 is split into chunks for up to ``workers``
+    processes; the pass from 1 runs in the calling process, whatever
+    ``workers`` asks for.  It keeps an 8-byte total per element; one that
+    would need more than the machine's physical memory raises
     ResourceLimitError before any element is iterated.
     """
     _require_at_least(lo, 1, "lo")
@@ -582,28 +562,23 @@ def verify_conjecture_range(
     _require_at_least(workers, 1, "workers")
     if lo == 1:
         _require_fits(_prefix_bytes(hi), f"a sweep of [1, {hi}]")
-        kernel = _sweep_chunk
-    else:
-        kernel = _sieve_chunk
-        _sieve_table()  # both built before the pool forks, so workers inherit them
-        _jump_table()
-
-    spans = _chunk_spans(lo, hi, workers)
-    args = [(a, b, max_steps) for a, b in spans]
-    # A fork pool starts all its workers at the first submit, so ask for no
-    # more than there are chunks or cores, and run one in-process; same report.
-    procs = min(workers, len(args), os.cpu_count() or 1)
-    if procs == 1:
-        chunks = [kernel(a) for a in args]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            chunks = list(pool.map(kernel, args))
-    if lo == 1:
-        summary, holders = _resolve(hi, spans, chunks)
-        chunks = [summary]
+        summary, holders = _sweep_prefix(hi, max_steps)
         if cache is not None:
             _store_records(cache, holders)
+        chunks = [summary]
+    else:
+        _sieve_table()  # both built before the pool forks, so workers inherit them
+        _jump_table()
+        args = [(a, b, max_steps) for a, b in _chunk_spans(lo, hi, workers)]
+        # A fork pool starts all its workers at the first submit, so ask for no
+        # more than there are chunks or cores, and run one in-process; same report.
+        procs = min(workers, len(args), os.cpu_count() or 1)
+        if procs == 1:
+            chunks = [_sieve_chunk(a) for a in args]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=procs) as pool:
+                chunks = list(pool.map(_sieve_chunk, args))
 
     checked = steps_max = exc_max = 0
     cycles: list[int] = []
@@ -627,38 +602,38 @@ def verify_conjecture_range(
     )
 
 
-def _resolve(hi: int, spans: list[tuple[int, int]], results: list) -> tuple:
+def _sweep_prefix(hi: int, max_steps: int) -> tuple:
     # ((count, steps_max, exc_max, cycles, truncated), holders) of [1, hi]
-    # from one ascending pass.  totals[x // 3] is x's exact steps to 1, or -1
-    # where a cycle or truncation upstream leaves it undefined; a drop target
-    # is a smaller restricted-domain element, so it is resolved before x.
-    # holders maps each record holder to its total: each x where steps_max
-    # rises, and each chunk climb whose peak beats every earlier segment
-    # peak.  The orbit of x passes only through segments of elements up to
-    # x, so without findings these climbs are exactly the path records.
+    # from one ascending pass of _segment_outcome.  totals[x // 3] is x's
+    # exact steps to 1, or -1 where a cycle or truncation upstream leaves it
+    # undefined; a drop target is a smaller restricted-domain element, so its
+    # total is known before x's.  1 drops to 0, whose slot is 1's own and
+    # starts at 0.  holders maps each record holder to its total: each x
+    # where steps_max rises, and each x whose segment peak beats every
+    # earlier segment peak.  The orbit of x passes only through segments of
+    # elements up to x, so without findings these peaks are exactly the
+    # path records.
     totals = array("q", [-1]) * (hi // 3 + 1)
+    totals[0] = 0
     holders: dict[int, int] = {}
     steps_max = exc_max = 0
     cycles: list[int] = []
     truncated: list[int] = []
-    for (a, b), (segs, drops, climbs) in zip(spans, results):
-        for x, s, d in zip(u0_range(a, b), segs, drops):
-            if d > 0:
-                up = totals[d // 3]
-                total = s + up if up >= 0 else -1
-            elif d == 0:
-                total = s
-            else:
-                total = -1
-                (cycles if d == -1 else truncated).append(x)
-            totals[x // 3] = total
-            if total > steps_max:
-                steps_max = total
-                holders[x] = total
-        for x, peak in climbs:
-            if peak > exc_max:
-                exc_max = peak
-                holders[x] = totals[x // 3]
+    for x in u0_range(1, hi):
+        kind, s, v, mx = _segment_outcome(x, max_steps)
+        if kind == "drop":
+            up = totals[v // 3]
+            total = s + up if up >= 0 else -1
+        else:
+            total = -1
+            (cycles if kind == "cycle" else truncated).append(x)
+        totals[x // 3] = total
+        if total > steps_max:
+            steps_max = total
+            holders[x] = total
+        if mx > exc_max:
+            exc_max = mx
+            holders[x] = total
     return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders
 
 

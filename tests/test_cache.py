@@ -20,10 +20,13 @@ HEADER = '{"format": "collatz-cache", "version": 1}\n'
 
 
 def test_new_file_gets_header(tmp_path):
+    # Opening only reads; the first store creates the file, header first.
     path = tmp_path / "c.jsonl"
     cache = OrbitCache(path)
+    assert not cache.created and not path.exists()
+    cache.store(7, 5, 17)
     assert cache.created
-    assert path.read_text() == HEADER
+    assert path.read_text() == HEADER + '{"x": "7", "steps": 5, "max": "17"}\n'
 
 
 def test_store_and_lookup_round_trip(tmp_path):
@@ -188,16 +191,23 @@ class TestIOFaults:
 
     @pytest.mark.parametrize("tail", ["", "missing/c.jsonl", "plain/c.jsonl"])
     def test_unusable_path(self, tmp_path, tail):
+        # A missing file is an empty cache, so a missing directory shows
+        # only when the first store tries to create the file.
         (tmp_path / "plain").write_text("a regular file, not a directory\n")
         path = tmp_path / tail
         with pytest.raises(CacheError) as exc:
-            OrbitCache(path)
+            if tail == "missing/c.jsonl":
+                cache = OrbitCache(path)
+                assert len(cache) == 0
+                cache.store(7, 5, 17)
+            else:
+                OrbitCache(path)
         assert str(path) in str(exc.value)
+        assert not (tmp_path / "missing").exists()
 
     def test_append_failure_is_cache_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         cache = OrbitCache(path)
-        path.unlink()
         path.mkdir()
         with pytest.raises(CacheError) as exc:
             cache.store(7, 5, 17)
@@ -293,27 +303,32 @@ class TestConcurrentWriters:
         assert all(line.endswith("}") for line in lines)
 
     def test_store_before_the_creators_lock_leaves_one_header(self, tmp_path, monkeypatch):
-        # Another process opens the fresh file and stores between the
-        # creator's O_EXCL open and its exclusive lock.
+        # Two first stores race to one fresh path: the second opens the file
+        # and stores between the first one's O_CREAT open and its exclusive
+        # lock, so the second writes the header and the first appends after it.
         path = tmp_path / "c.jsonl"
+        first, second = OrbitCache(path), OrbitCache(path)
         real_flock = fcntl.flock
         raced = []
 
         def flock(fd, operation):
             if operation == fcntl.LOCK_EX and not raced:
                 raced.append(True)
-                OrbitCache(path).store(7, 5, 17)
+                second.store(11, 4, 17)
             real_flock(fd, operation)
 
         monkeypatch.setattr(fcntl, "flock", flock)
-        cache = OrbitCache(path)
-        assert raced and cache.created
-        assert path.read_text() == HEADER + '{"x": "7", "steps": 5, "max": "17"}\n'
+        first.store(7, 5, 17)
+        assert raced and second.created and not first.created
+        assert path.read_text() == (HEADER + '{"x": "11", "steps": 4, "max": "17"}\n'
+                                    '{"x": "7", "steps": 5, "max": "17"}\n')
         reloaded = OrbitCache(path)
-        assert len(reloaded) == 1
+        assert len(reloaded) == 2
         assert reloaded.lookup(7) == CacheEntry(5, 17)
 
     def test_store_waits_for_exclusive_lock(self, tmp_path):
+        # The lock holder creates the file, so the waiting store finds it
+        # empty and writes the header once it has the lock.
         path = tmp_path / "c.jsonl"
         cache = OrbitCache(path)
         done = threading.Event()
@@ -322,18 +337,18 @@ class TestConcurrentWriters:
             cache.store(7, 5, 17)
             done.set()
 
-        with open(path, "rb") as held:
+        with open(path, "ab") as held:
             fcntl.flock(held.fileno(), fcntl.LOCK_EX)
             worker = threading.Thread(target=store)
             worker.start()
             try:
                 assert not done.wait(0.3)
-                assert path.read_text() == HEADER
+                assert path.read_text() == ""
             finally:
                 fcntl.flock(held.fileno(), fcntl.LOCK_UN)
         worker.join(timeout=10)
         assert not worker.is_alive()
-        assert done.is_set()
+        assert done.is_set() and cache.created
         assert OrbitCache(path).lookup(7) == CacheEntry(5, 17)
 
 

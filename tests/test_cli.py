@@ -238,6 +238,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("argv, usage, expects", [
+        (["verify", "--cache", "F", "range", "--from", "1", "--to", "300"],
+         "usage: collatzq verify ", "collatzq verify: error: option --cache must follow the verify mode"),
+        (["verify", "--jobs=2", "range", "--from", "1", "--to", "300"],
+         "usage: collatzq verify ", "collatzq verify: error: option --jobs must follow the verify mode"),
+        (["--json", "orbit", "7"],
+         "usage: collatzq ", "collatzq: error: option --json must follow the command"),
+    ], ids=["verify-cache", "verify-jobs", "top-json"])
+    def test_option_before_its_command_is_named(self, capsys, argv, usage, expects):
+        # argparse alone reads the option's value as the command or mode:
+        # "argument verify_mode: invalid choice: 'F'".
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(usage)
+        assert err.endswith("\n" + expects + "\n")
+
     def test_domain_error_xi_of_multiple_of_three(self, capsys):
         code, out, err = run_cli(capsys, "map", "9", "--op", "xi")
         assert code == 2
@@ -390,6 +406,30 @@ class TestCachePlumbing:
         assert env2["cache_stats"] == {"hits": 1, "misses": 0}
         assert env2["result"] == env["result"]
         assert err2 == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["orbit", "6"], "x must be an odd positive integer, got 6"),
+        (["verify", "range", "--from", "1", "--to", "0"], "range is empty: lo=1, hi=0"),
+        (["verify", "range", "--from", "1", "--to", "100000000000000"],
+         "a sweep of [1, 100000000000000] needs about 266666666732208 bytes, "
+         "more than the 1073741824 bytes of physical memory"),
+    ], ids=["orbit-even", "range-empty", "range-unfit"])
+    def test_rejected_command_creates_no_cache_file(self, capsys, tmp_path, monkeypatch,
+                                                    argv, message):
+        monkeypatch.setattr(core, "_physical_memory", lambda: 1 << 30)
+        path = tmp_path / "G"
+        code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"collatzq: error: {message}\n"
+        assert not path.exists()
+
+    def test_orbit_that_stores_nothing_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "G"
+        code, env, err = run_json(capsys, "orbit", "27", "--max-steps", "5", "--cache", str(path))
+        assert (code, err) == (0, "")
+        assert env["result"]["truncated"] is True
+        assert env["cache_stats"] == {"hits": 0, "misses": 0}
+        assert not path.exists()
 
     def test_quiet_suppresses_creation_notice(self, capsys, tmp_path):
         path = str(tmp_path / "c.jsonl")

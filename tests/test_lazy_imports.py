@@ -90,8 +90,13 @@ def test_commands_load_neither_dataclasses_nor_inspect(child_env, argv):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_range_loads_the_pool_only_for_workers(child_env, jobs):
-    argv = ["verify", "range", "--from", "1", "--to", "30000", "--jobs", jobs]
-    out = modules_after_main(child_env, argv)
+    # A sweep from 1 runs in-process for any --jobs; above 1, --jobs 2 forks.
+    out = modules_after_main(child_env, ["verify", "range", "--from", "1", "--to", "30000",
+                                         "--jobs", jobs])
+    assert out["code"] == 0
+    assert "concurrent.futures.process" not in out["modules"]
+    out = modules_after_main(child_env, ["verify", "range", "--from", "1000001",
+                                         "--to", "1100000", "--jobs", jobs])
     assert out["code"] == 0
     assert ("concurrent.futures.process" in out["modules"]) == (jobs != "1")
 

@@ -4,10 +4,14 @@ One case per check that rejects an argument with a DomainError: each
 public entry point is called once with one argument out of range, and the
 message must match exactly.  The 26 "must be >= floor" rules come first,
 in module order, then the hand-worded ones.  Last come the refusals of
-state that cannot fit in physical memory (ResourceLimitError).
+state that cannot fit in physical memory (ResourceLimitError), and a check
+that the per-level estimates behind them cover what a command holds.
 """
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -100,13 +104,16 @@ LEVELS = 2**64 + 1  # past sys.maxsize: a list of that many levels cannot even b
 
 TOO_BIG = [
     case("census-levels", lambda: bookkeeping.census_class_of_one(LEVELS, 10),
-         "a census of levels 0..18446744073709551617 needs about 147573952589676412944 bytes, "
+         "a census of levels 0..18446744073709551617 needs about 9444732965739290428416 bytes, "
          "more than the 1073741824 bytes of physical memory"),
     case("delta_sequence-levels", lambda: quotient.delta_sequence(7, LEVELS),
          "a delta sequence of levels 0..18446744073709551617 needs about "
-         "147573952589676412944 bytes, more than the 1073741824 bytes of physical memory"),
+         "2361183241434822607104 bytes, more than the 1073741824 bytes of physical memory"),
+    case("iterate-backward", lambda: core.iterate(7, -LEVELS),
+         "a backward iteration of 18446744073709551617 steps needs about "
+         "6917529027641081856 bytes, more than the 1073741824 bytes of physical memory"),
     case("range-prefix", lambda: verify.verify_conjecture_range(1, 10**15),
-         "a sweep of [1, 1000000000000000] needs about 7000000000065537 bytes, "
+         "a sweep of [1, 1000000000000000] needs about 2666666666732208 bytes, "
          "more than the 1073741824 bytes of physical memory"),
 ]
 
@@ -116,6 +123,9 @@ def test_refusal_is_exact(call, text, monkeypatch):
     monkeypatch.setattr(core, "_physical_memory", lambda: GIB)
     with pytest.raises(ResourceLimitError, match="^" + re.escape(text) + "$"):
         call()
+
+
+LEVEL_BYTES = {"a census": 512, "a delta sequence": 128}
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -128,5 +138,62 @@ def test_cli_refuses_unfit_levels_in_one_line(capsys, monkeypatch, argv, what):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"collatzq: error: {what} of levels 0..{LEVELS} needs about "
-                            f"{8 * (LEVELS + 1)} bytes, more than the {GIB} bytes of "
-                            f"physical memory\n")
+                            f"{LEVEL_BYTES[what] * (LEVELS + 1)} bytes, more than the {GIB} "
+                            f"bytes of physical memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "7", "--op", "f", "--k", str(-LEVELS)],
+    ["appendix-class", "7", "--bound", "10", "--k-range", str(LEVELS)],
+    ["matrix", "7", "--k-min", str(-LEVELS), "--bound", "10"],
+], ids=["map", "appendix-class", "matrix"])
+def test_cli_refuses_unfit_backward_iteration_in_one_line(capsys, monkeypatch, argv):
+    # Each walked the tau chain until memory ran out.
+    monkeypatch.setattr(core, "_physical_memory", lambda: GIB)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"collatzq: error: a backward iteration of {LEVELS} steps needs "
+                            f"about {(3 + 3 * LEVELS) // 8} bytes, more than the {GIB} bytes "
+                            f"of physical memory\n")
+
+
+# A process's peak RSS counts the memory of its parent up to the exec, so
+# the command runs under a bare interpreter, never under this test process.
+_PEAK = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "collatzq", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024)
+"""
+
+
+def peak_rss(env, argv):
+    """The peak resident bytes of one `python -m collatzq` run."""
+    out = subprocess.run([sys.executable, "-c", _PEAK, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, peak = map(int, out.split())
+    assert code == 0
+    return peak
+
+
+def estimate(call):
+    """The bytes that call's refusal names, with no physical memory to fit in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_physical_memory", lambda: 0)
+        with pytest.raises(ResourceLimitError) as exc:
+            call()
+    return int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["delta", "7", "--sequence", "--max-n", "300000"],
+     lambda: quotient.delta_sequence(7, 300_000)),
+    (["census", "--n-max", "100000", "--bound", "100"],
+     lambda: bookkeeping.census_class_of_one(100_000, 100)),
+], ids=["delta-sequence", "census"])
+def test_estimate_covers_the_measured_peak(child_env, argv, call):
+    # What the command holds beyond a command that holds nothing.
+    held = peak_rss(child_env, argv) - peak_rss(child_env, ["map", "1", "--op", "T"])
+    assert held <= estimate(call)

@@ -467,11 +467,11 @@ class TestPrefixMemoryCap:
             assert (cache.hits, cache.misses) == (0, 0)
 
     def test_cap_counts_the_arrays_a_sweep_holds(self, monkeypatch):
+        # The one per-element array is the 8-byte total of every third integer.
         hi = 3_000
-        segs, drops, _ = verify_mod._sweep_chunk((1, hi, 10_000))
-        arrays = 8 * (hi // 3 + 1) + len(segs) * segs.itemsize + len(drops) * drops.itemsize
+        totals = 8 * (hi // 3 + 1)
         need = verify_mod._prefix_bytes(hi)
-        assert arrays < need
+        assert totals < need
         monkeypatch.setattr(core, "_physical_memory", lambda: need)
         assert verify_conjecture_range(1, hi).all_reach_one
         monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
@@ -508,7 +508,8 @@ class TestPrefixMemoryCap:
 
 
 class TestWorkerClamp:
-    """A pool never starts more processes than there are chunks or cores."""
+    """A pool never starts more processes than there are chunks or cores,
+    and a sweep from 1 starts none."""
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -530,7 +531,7 @@ class TestWorkerClamp:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         return sizes
 
-    @pytest.mark.parametrize("lo, hi", [(1, 40_000), (10**12, 10**12 + 100_000)])
+    @pytest.mark.parametrize("lo, hi", [(10**12, 10**12 + 100_000)])
     @pytest.mark.parametrize("cores, workers, started", [
         (2, 5_000, 2),     # clamped to the cores
         (64, 5_000, None),  # clamped to the chunks
@@ -545,6 +546,13 @@ class TestWorkerClamp:
         assert report == verify_conjecture_range(lo, hi, workers=1)
         procs = chunks if started is None else started
         assert pool_sizes == ([procs] if procs > 1 else [])  # one pool, none for one process
+
+    @pytest.mark.parametrize("cores, workers", [(2, 5_000), (64, 5_000), (None, 8), (4, 3)])
+    def test_sweep_from_one_starts_no_pool(self, pool_sizes, monkeypatch, cores, workers):
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        report = verify_conjecture_range(1, 40_000, workers=workers)
+        assert report == verify_conjecture_range(1, 40_000, workers=1)
+        assert pool_sizes == []
 
 
 def per_element_report(lo, hi, max_steps):
