@@ -57,8 +57,9 @@ class OrbitCache:
     zero-byte file is an empty cache, and any malformed line or internal
     conflict raises CacheError naming the offending line.  The first store
     creates the file through the same locked append as every later one, and
-    created tells whether this cache wrote the header.  A file that cannot
-    be created, read or appended to raises CacheError naming the path.
+    created tells whether this cache created it.  A file that cannot be
+    read or appended to, or whose directory is missing, raises CacheError
+    naming the path.
 
     Callers compute every record themselves and offer it to store or
     store_many, so the cache checks numbers and never supplies them.  Only
@@ -87,6 +88,8 @@ class OrbitCache:
         try:
             fh = open(self.path, "rb")
         except FileNotFoundError:
+            if not self.path.parent.is_dir():
+                raise  # no store could create the file
             return [], False
         with fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
@@ -177,14 +180,19 @@ class OrbitCache:
                 raise CacheError(f"{self.path}: {exc.strerror or exc}") from exc
 
     def _append(self, batch: bytes) -> None:
-        # The one write path, and the only one that creates the file.
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        # The one write path and the only one that creates the file: the open
+        # that makes it sets created, and the first to lock it empty writes the header.
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self.path, flags | os.O_EXCL, 0o666)
+            self.created = True
+        except FileExistsError:
+            fd = os.open(self.path, flags, 0o666)  # O_CREAT: a dangling symlink's target
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
             if not size:
                 batch = (json.dumps(HEADER) + "\n").encode("ascii") + batch
-                self.created = True
             elif os.pread(fd, 1, size - 1) != b"\n":
                 batch = b"\n" + batch  # start on a new line after an unterminated one
             view = memoryview(batch)

@@ -16,7 +16,7 @@ Two layers:
   of processing order, so worker count never changes a reported number.
   Above 1 the sweep is sieved by Terras's (1976) stopping-time classes mod
   2**j, j <= 16: every member drops at its class's step, so each class is
-  settled once per chunk and only the survivors are iterated.  A survivor
+  settled once per span and only the survivors are iterated.  A survivor
   advances in blocks of 8 parity steps read from a 256-entry table whenever
   no value in the block can decide the report, and one exact step
   otherwise; ``jump`` builds both tables from one parity entry, and every
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import core, quotient
 from .core import _require_at_least, _require_fits, _u0_count, u0_range
 from .errors import DomainError
-from .jump import _SIEVE_MOD, _jump_table, _sieve_table, _survivor_outcome
+from .jump import _SIEVE_MOD, _sieve_table, _survivor_outcome
 
 if TYPE_CHECKING:
     from .cache import OrbitCache
@@ -503,19 +503,6 @@ def _prefix_bytes(hi: int) -> int:
     return 8 * (hi // 3 + 1) + (1 << 16)
 
 
-def _chunk_spans(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    span = hi - lo + 1
-    n_chunks = min(max(1, workers * 4), max(1, span // 10_000 + 1))
-    width = -(-span // n_chunks)
-    out = []
-    a = lo
-    while a <= hi:
-        b = min(a + width - 1, hi)
-        out.append((a, b))
-        a = b + 1
-    return out
-
-
 def verify_conjecture_range(
     lo: int,
     hi: int,
@@ -549,11 +536,11 @@ def verify_conjecture_range(
     of per element, and the rest jump 8 parity steps at a time where no
     value skipped can change the report, with the same report.
 
-    Only a sweep above 1 is split into chunks for up to ``workers``
-    processes; the pass from 1 runs in the calling process, whatever
-    ``workers`` asks for.  It keeps an 8-byte total per element; one that
-    would need more than the machine's physical memory raises
-    ResourceLimitError before any element is iterated.
+    Above 1 the sweep runs in min(workers, cores, (hi - lo + 1) // 10_000 + 1)
+    processes: one sweeps the window in-process, more map four spans each
+    over a pool.  From 1 it runs in the calling process whatever ``workers``
+    asks for, and keeps an 8-byte total per element; one that would need
+    more than physical memory raises ResourceLimitError before iterating.
     """
     _require_at_least(lo, 1, "lo")
     if hi < lo:
@@ -567,15 +554,18 @@ def verify_conjecture_range(
             _store_records(cache, holders)
         chunks = [summary]
     else:
-        _sieve_table()  # both built before the pool forks, so workers inherit them
-        _jump_table()
-        args = [(a, b, max_steps) for a, b in _chunk_spans(lo, hi, workers)]
-        # A fork pool starts all its workers at the first submit, so ask for no
-        # more than there are chunks or cores, and run one in-process; same report.
-        procs = min(workers, len(args), os.cpu_count() or 1)
+        # A pool starts all its workers at the first submit, so it gets no more
+        # processes than cores or grains of 10_000 integers; one runs in-process.
+        span = hi - lo + 1
+        grains = span // 10_000 + 1
+        procs = min(workers, os.cpu_count() or 1, grains)
         if procs == 1:
-            chunks = [_sieve_chunk(a) for a in args]
+            chunks = [_sieve_chunk((lo, hi, max_steps))]
         else:
+            # Four spans per process: the others take up a late worker's share.
+            n = min(4 * procs, grains)
+            args = [(lo + i * span // n, lo + (i + 1) * span // n - 1, max_steps)
+                    for i in range(n)]
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=procs) as pool:
                 chunks = list(pool.map(_sieve_chunk, args))

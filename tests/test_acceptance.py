@@ -81,8 +81,9 @@ def test_criterion_3_conjecture_sweep(announce):
         and report.elements_checked == 3_333_333
         and elapsed < 120.0
     )
-    single = verify_conjecture_range(1, 100_000, workers=1)
-    multi = verify_conjecture_range(1, 100_000, workers=max(2, cores))
+    # Above 1, where more than one worker starts a pool; from 1 none does.
+    single = verify_conjecture_range(10**12, 10**12 + 100_000, workers=1)
+    multi = verify_conjecture_range(10**12, 10**12 + 100_000, workers=max(2, cores))
     ok = ok and single == multi
     announce(3, "sweep of [1, 1e7] reaches 1, worker-count independent", ok,
              f"{report.elements_checked} elements, {elapsed:.1f}s on {cores} core(s)")

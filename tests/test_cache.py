@@ -104,9 +104,9 @@ def test_zero_byte_file_is_an_empty_cache(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(b"")
     cache = OrbitCache(path)
-    assert not cache.created
     assert len(cache) == 0
     cache.store(7, 5, 17)
+    assert not cache.created  # the header, but not the file, is this cache's
     assert path.read_text() == HEADER + '{"x": "7", "steps": 5, "max": "17"}\n'
 
 
@@ -191,17 +191,12 @@ class TestIOFaults:
 
     @pytest.mark.parametrize("tail", ["", "missing/c.jsonl", "plain/c.jsonl"])
     def test_unusable_path(self, tmp_path, tail):
-        # A missing file is an empty cache, so a missing directory shows
-        # only when the first store tries to create the file.
+        # A missing file is an empty cache, but one no store could create
+        # fails at the open.
         (tmp_path / "plain").write_text("a regular file, not a directory\n")
         path = tmp_path / tail
         with pytest.raises(CacheError) as exc:
-            if tail == "missing/c.jsonl":
-                cache = OrbitCache(path)
-                assert len(cache) == 0
-                cache.store(7, 5, 17)
-            else:
-                OrbitCache(path)
+            OrbitCache(path)
         assert str(path) in str(exc.value)
         assert not (tmp_path / "missing").exists()
 
@@ -304,8 +299,9 @@ class TestConcurrentWriters:
 
     def test_store_before_the_creators_lock_leaves_one_header(self, tmp_path, monkeypatch):
         # Two first stores race to one fresh path: the second opens the file
-        # and stores between the first one's O_CREAT open and its exclusive
-        # lock, so the second writes the header and the first appends after it.
+        # and stores between the first one's creating open and its exclusive
+        # lock, so the second writes the header and the first appends after
+        # it, but only the first created the file.
         path = tmp_path / "c.jsonl"
         first, second = OrbitCache(path), OrbitCache(path)
         real_flock = fcntl.flock
@@ -319,7 +315,7 @@ class TestConcurrentWriters:
 
         monkeypatch.setattr(fcntl, "flock", flock)
         first.store(7, 5, 17)
-        assert raced and second.created and not first.created
+        assert raced and first.created and not second.created
         assert path.read_text() == (HEADER + '{"x": "11", "steps": 4, "max": "17"}\n'
                                     '{"x": "7", "steps": 5, "max": "17"}\n')
         reloaded = OrbitCache(path)
@@ -328,7 +324,8 @@ class TestConcurrentWriters:
 
     def test_store_waits_for_exclusive_lock(self, tmp_path):
         # The lock holder creates the file, so the waiting store finds it
-        # empty and writes the header once it has the lock.
+        # empty and writes the header once it has the lock, but did not
+        # create it.
         path = tmp_path / "c.jsonl"
         cache = OrbitCache(path)
         done = threading.Event()
@@ -348,7 +345,7 @@ class TestConcurrentWriters:
                 fcntl.flock(held.fileno(), fcntl.LOCK_UN)
         worker.join(timeout=10)
         assert not worker.is_alive()
-        assert done.is_set() and cache.created
+        assert done.is_set() and not cache.created
         assert OrbitCache(path).lookup(7) == CacheEntry(5, 17)
 
 

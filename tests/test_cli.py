@@ -431,6 +431,27 @@ class TestCachePlumbing:
         assert env["cache_stats"] == {"hits": 0, "misses": 0}
         assert not path.exists()
 
+    def test_existing_empty_file_gets_header_and_no_notice(self, capsys, tmp_path):
+        path = tmp_path / "G"
+        path.touch()
+        code, env, err = run_json(capsys, "orbit", "7", "--cache", str(path))
+        assert (code, err) == (0, "")
+        assert env["cache_stats"] == {"hits": 0, "misses": 1}
+        assert path.read_text().startswith('{"format": "collatz-cache", "version": 1}\n')
+        assert OrbitCache(path).lookup(7) is not None
+
+    def test_missing_directory_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("collatzq.verify._sweep_prefix", sweep)
+        path = tmp_path / "missing" / "c.jsonl"
+        code, out, err = run_cli(capsys, "verify", "range", "--from", "1", "--to", "300000",
+                                 "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"collatzq: cache error: {path}: No such file or directory\n"
+        assert not (tmp_path / "missing").exists()
+
     def test_quiet_suppresses_creation_notice(self, capsys, tmp_path):
         path = str(tmp_path / "c.jsonl")
         _, _, err = run_cli(capsys, "orbit", "17", "--cache", path, "--quiet")

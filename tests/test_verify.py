@@ -3,6 +3,8 @@
 import functools
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -271,16 +273,19 @@ class TestRangeSweep:
                 v = t
                 assert v >= x
 
-    def test_worker_counts_agree(self):
-        a = verify_conjecture_range(1, 100_000, workers=1)
-        b = verify_conjecture_range(1, 100_000, workers=2)
+    # Above 1, where more than one worker starts a pool; from 1 none does.
+    def test_worker_counts_agree(self, monkeypatch):
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        a = verify_conjecture_range(10**12, 10**12 + 100_000, workers=1)
+        b = verify_conjecture_range(10**12, 10**12 + 100_000, workers=2)
         assert a == b
 
-    def test_worker_counts_agree_with_findings(self):
-        a = verify_conjecture_range(1, 5_000, max_steps=12, workers=1)
-        b = verify_conjecture_range(1, 5_000, max_steps=12, workers=3)
+    def test_worker_counts_agree_with_findings(self, monkeypatch):
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        a = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9, workers=1)
+        b = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9, workers=3)
         assert a == b
-        assert not a.all_reach_one
+        assert a.truncated_elements and not a.all_reach_one
 
     def test_split_consistency(self):
         full = verify_conjecture_range(1, 2_000, max_steps=500)
@@ -508,11 +513,16 @@ class TestPrefixMemoryCap:
 
 
 class TestWorkerClamp:
-    """A pool never starts more processes than there are chunks or cores,
-    and a sweep from 1 starts none."""
+    """A pool never starts more processes than there are cores or grains of
+    10_000 integers and maps four spans per process; one process and a sweep
+    from 1 start none."""
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
+    def mapped(self):
+        return []  # the argument list of each pool's map
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch, mapped):
         sizes = []
 
         class InProcessPool:
@@ -526,26 +536,59 @@ class TestWorkerClamp:
                 return False
 
             def map(self, fn, args):
-                return map(fn, args)
+                mapped.append(list(args))
+                return map(fn, mapped[-1])
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         return sizes
 
     @pytest.mark.parametrize("lo, hi", [(10**12, 10**12 + 100_000)])
     @pytest.mark.parametrize("cores, workers, started", [
-        (2, 5_000, 2),     # clamped to the cores
-        (64, 5_000, None),  # clamped to the chunks
-        (None, 8, 1),      # cpu_count() unknown: one process, so no pool
-        (4, 3, 3),         # asked for fewer than both
+        (2, 5_000, 2),    # clamped to the cores
+        (64, 5_000, 11),  # clamped to the 11 grains
+        (None, 8, 1),     # cpu_count() unknown: one process, so no pool
+        (4, 3, 3),        # asked for fewer than both
     ])
     def test_processes_started(self, pool_sizes, monkeypatch, lo, hi, cores, workers, started):
-        chunks = len(verify_mod._chunk_spans(lo, hi, workers))
-        assert chunks > 1
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
         report = verify_conjecture_range(lo, hi, workers=workers)
         assert report == verify_conjecture_range(lo, hi, workers=1)
-        procs = chunks if started is None else started
-        assert pool_sizes == ([procs] if procs > 1 else [])  # one pool, none for one process
+        assert pool_sizes == ([started] if started > 1 else [])  # one pool, none for one process
+
+    @pytest.mark.parametrize("cores, workers, hi", [
+        (None, 8, 10**12 + 100_000),  # one core
+        (64, 1, 10**12 + 100_000),    # one worker
+        (64, 8, 10**12 + 9_998),      # one grain
+    ])
+    def test_one_process_sweeps_the_window_once(self, pool_sizes, monkeypatch, cores, workers, hi):
+        lo = 10**12
+        calls = []
+        sieve_chunk = verify_mod._sieve_chunk
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(verify_mod, "_sieve_chunk",
+                            lambda args: calls.append(args) or sieve_chunk(args))
+        report = verify_conjecture_range(lo, hi, max_steps=9, workers=workers)
+        assert (calls, pool_sizes) == ([(lo, hi, 9)], [])
+        assert report == per_element_report(lo, hi, 9)
+
+    @pytest.mark.parametrize("cores, workers, width", [
+        (2, 5_000, 100_000),    # 8 spans of 2 processes
+        (64, 5_000, 100_000),   # 11 spans, one per grain
+        (4, 3, 1_000_000),      # 12 spans of 3 processes
+        (2, 2, 2**16 + 4_321),  # 7 spans, one per grain, of unequal width
+    ])
+    def test_pool_maps_four_spans_per_process(self, pool_sizes, mapped, monkeypatch,
+                                              cores, workers, width):
+        lo = 2**64 + 1
+        hi = lo + width
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        verify_conjecture_range(lo, hi, max_steps=9, workers=workers)
+        (procs,), (spans,) = pool_sizes, mapped
+        assert len(spans) == min(4 * procs, (hi - lo + 1) // 10_000 + 1)
+        assert spans[0][0] == lo and spans[-1][1] == hi
+        assert all(b + 1 == a for (_, b, _), (a, _, _) in zip(spans, spans[1:]))
+        widths = {b - a + 1 for a, b, _ in spans}
+        assert max(widths) - min(widths) <= 1 and {s for _, _, s in spans} == {9}
 
     @pytest.mark.parametrize("cores, workers", [(2, 5_000), (64, 5_000), (None, 8), (4, 3)])
     def test_sweep_from_one_starts_no_pool(self, pool_sizes, monkeypatch, cores, workers):
@@ -553,6 +596,30 @@ class TestWorkerClamp:
         report = verify_conjecture_range(1, 40_000, workers=workers)
         assert report == verify_conjecture_range(1, 40_000, workers=1)
         assert pool_sizes == []
+
+
+_START_METHOD_SWEEP = """
+import json, multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from collatzq import verify
+verify.os.cpu_count = lambda: 2
+lo, hi = 2**64, 2**64 + 200_000
+pooled = verify.verify_conjecture_range(lo, hi, max_steps=9, workers=2)
+single = verify.verify_conjecture_range(lo, hi, max_steps=9, workers=1)
+print(json.dumps([pooled == single, "concurrent.futures.process" in sys.modules,
+                  len(single.truncated_elements)]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_assumes_no_start_method(child_env, method):
+    # Workers that inherit nothing from the parent build their own tables
+    # and give the report of one in-process pass, truncations included.
+    proc = subprocess.run([sys.executable, "-c", _START_METHOD_SWEEP, method],
+                          capture_output=True, text=True, env=child_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    equal, pooled, truncated = json.loads(proc.stdout)
+    assert equal and pooled and truncated > 0
 
 
 def per_element_report(lo, hi, max_steps):
