@@ -16,8 +16,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import (_require_at_least, _require_fits, _require_u0, _trajectory, iterate, nu2, tau,
-                   u0_range)
+from .core import (_require_at_least, _require_fits, _require_u0, _trajectory, _u0_count, iterate,
+                   nu2, tau, u0_range)
 from .errors import DomainError, ResourceLimitError
 from .quotient import ClassWindow, _meets, _walk, class_inf, delta_sequence
 
@@ -174,6 +174,9 @@ def sufficient_set_check(bound: int) -> SufficientSetReport:
 def sufficient_set_members(bound: int) -> list[int]:
     """Restricted-domain elements of [1, bound] with nu2(3x+1) in {1,2,3,4}."""
     _require_at_least(bound, 1, "bound")
+    # A window element costs `suffset --members` about 110 bytes at its peak,
+    # its member entry in the envelope included (measured RSS, bound 1e6).
+    _require_fits(128 * _u0_count(1, bound), f"a sufficient-set member list of [1, {bound}]")
     return [x for x in u0_range(1, bound) if 1 <= nu2(3 * x + 1) <= 4]
 
 

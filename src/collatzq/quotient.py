@@ -334,6 +334,9 @@ def partition_n(bound: int, n: int) -> list[ClassWindow]:
     """
     _require_at_least(bound, 1, "bound")
     _require_at_least(n, 0, "level")
+    # A window element costs `partition` about 555-570 bytes at its peak, most
+    # of it the envelope's member entry (measured RSS, bounds 3e5 to 1e6).
+    _require_fits(640 * _u0_count(1, bound), f"a partition of [1, {bound}]")
     groups: dict[int, list[int]] = {}
     for z in u0_range(1, bound):
         groups.setdefault(_iterate(z, n), []).append(z)

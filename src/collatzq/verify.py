@@ -13,14 +13,13 @@ Two layers:
   the trajectory drops strictly below its start: combined with the verified
   prefix below ``lo`` (a preceding pass, or nothing when lo == 1) a simple
   induction gives the full claim, and the per-element work is independent
-  of processing order, so worker count never changes a reported number.
+  of processing order, so the process count never changes a reported number.
   Above 1 the sweep is sieved by Terras's (1976) stopping-time classes mod
-  2**j, j <= 16: every member drops at its class's step, so each class is
-  settled once per span and only the survivors are iterated.  A survivor
-  advances in blocks of 8 parity steps read from a 256-entry table whenever
-  no value in the block can decide the report, and one exact step
-  otherwise; ``jump`` builds both tables from one parity entry, and every
-  reported number is unchanged.  From 1 one ascending pass in the calling
+  2**j, j <= 16, so each class is settled once per span and only the
+  survivors are iterated, 8 parity steps at a time where no value skipped
+  can decide the report (``jump`` builds both tables).  A window of two or
+  more grains of ``_GRAIN`` integers is shared by a pool of one process per
+  grain, up to the usable CPUs.  From 1 one ascending pass in the calling
   process iterates each element's segment and composes it at once into
   exact steps to 1.  An orbit cache takes no part in the sweep: afterwards
   it receives the record holders, each recomputed from its full orbit, and
@@ -496,6 +495,11 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 
+# Integers per process above 1: a pool pays from two grains under fork and
+# forkserver (2-core VM, Python 3.11); under spawn not before about four.
+_GRAIN = 2_000_000
+
+
 def _prefix_bytes(hi: int) -> int:
     # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
     # third integer, and 64 KiB for the rest: the record holders and, with a
@@ -516,7 +520,7 @@ def verify_conjecture_range(
     it.  Elements below lo must have been verified by a preceding pass (or
     there are none, when lo == 1); within the range the usual induction
     closes the argument.  The per-element outcome does not depend on
-    processing order, so any worker count produces the identical report.
+    processing order, so any process count produces the identical report.
 
     A trajectory that returns to its start is a cycle; one that exhausts
     max_steps while at or above its start is truncated.  Either finding is
@@ -531,16 +535,15 @@ def verify_conjecture_range(
     core.orbit, checked against the composed total and stored; a cached
     record that disagrees raises CacheError.  For lo > 1 exact totals are
     not derivable from the range alone, so statistics are segment-local
-    and no cache is read or written; the residue classes mod 2**j, j <= 16,
-    that provably drop at a fixed step are then settled per class instead
-    of per element, and the rest jump 8 parity steps at a time where no
-    value skipped can change the report, with the same report.
+    and no cache is read or written.
 
-    Above 1 the sweep runs in min(workers, cores, (hi - lo + 1) // 10_000 + 1)
-    processes: one sweeps the window in-process, more map four spans each
-    over a pool.  From 1 it runs in the calling process whatever ``workers``
-    asks for, and keeps an 8-byte total per element; one that would need
-    more than physical memory raises ResourceLimitError before iterating.
+    Above 1 the sweep runs in min(cores, (hi - lo + 1) // _GRAIN) processes,
+    at least one, with cores the CPUs in this process's affinity mask: one
+    sweeps the window in-process, more map four spans each over a pool.
+    From 1 it runs in the calling process and keeps an 8-byte total per
+    element; one that would need more than physical memory raises
+    ResourceLimitError before iterating.  ``workers`` is validated but has
+    no effect.
     """
     _require_at_least(lo, 1, "lo")
     if hi < lo:
@@ -554,16 +557,16 @@ def verify_conjecture_range(
             _store_records(cache, holders)
         chunks = [summary]
     else:
-        # A pool starts all its workers at the first submit, so it gets no more
-        # processes than cores or grains of 10_000 integers; one runs in-process.
+        # cpu_count() ignores the affinity mask that taskset or a cpuset sets.
         span = hi - lo + 1
-        grains = span // 10_000 + 1
-        procs = min(workers, os.cpu_count() or 1, grains)
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        procs = max(1, min(cores, span // _GRAIN))
         if procs == 1:
             chunks = [_sieve_chunk((lo, hi, max_steps))]
         else:
             # Four spans per process: the others take up a late worker's share.
-            n = min(4 * procs, grains)
+            n = 4 * procs
             args = [(lo + i * span // n, lo + (i + 1) * span // n - 1, max_steps)
                     for i in range(n)]
             from concurrent.futures import ProcessPoolExecutor
@@ -581,15 +584,9 @@ def verify_conjecture_range(
         truncated.extend(c_trunc)
 
     return RangeVerificationReport(
-        lo=lo,
-        hi=hi,
-        elements_checked=checked,
-        all_reach_one=not cycles and not truncated,
-        max_steps_observed=steps_max,
-        max_excursion_observed=exc_max,
-        cycles_found=sorted(cycles),
-        truncated_elements=sorted(truncated),
-    )
+        lo=lo, hi=hi, elements_checked=checked, all_reach_one=not cycles and not truncated,
+        max_steps_observed=steps_max, max_excursion_observed=exc_max,
+        cycles_found=sorted(cycles), truncated_elements=sorted(truncated))
 
 
 def _sweep_prefix(hi: int, max_steps: int) -> tuple:

@@ -29,6 +29,7 @@ from collatzq import (
     verify_conjecture_range,
     xi,
 )
+from collatzq import verify
 from collatzq.core import _step
 
 
@@ -69,10 +70,10 @@ def test_criterion_2_lemma_suite(announce):
              f"{failures} failures, {elapsed:.1f}s")
 
 
-def test_criterion_3_conjecture_sweep(announce):
+def test_criterion_3_conjecture_sweep(announce, monkeypatch):
     cores = os.cpu_count() or 1
     start = time.perf_counter()
-    report = verify_conjecture_range(1, 10_000_000, max_steps=10_000, workers=cores)
+    report = verify_conjecture_range(1, 10_000_000, max_steps=10_000)
     elapsed = time.perf_counter() - start
     ok = (
         report.all_reach_one
@@ -81,11 +82,14 @@ def test_criterion_3_conjecture_sweep(announce):
         and report.elements_checked == 3_333_333
         and elapsed < 120.0
     )
-    # Above 1, where more than one worker starts a pool; from 1 none does.
-    single = verify_conjecture_range(10**12, 10**12 + 100_000, workers=1)
-    multi = verify_conjecture_range(10**12, 10**12 + 100_000, workers=max(2, cores))
+    # Above 1 this window is narrower than two grains, so it runs in-process;
+    # with the grain patched low it is shared by a pool of two processes.
+    single = verify_conjecture_range(10**12, 10**12 + 100_000)
+    monkeypatch.setattr(verify, "_GRAIN", 10_000)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    multi = verify_conjecture_range(10**12, 10**12 + 100_000)
     ok = ok and single == multi
-    announce(3, "sweep of [1, 1e7] reaches 1, worker-count independent", ok,
+    announce(3, "sweep of [1, 1e7] reaches 1, process-count independent", ok,
              f"{report.elements_checked} elements, {elapsed:.1f}s on {cores} core(s)")
 
 

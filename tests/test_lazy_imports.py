@@ -89,8 +89,9 @@ def test_commands_load_neither_dataclasses_nor_inspect(child_env, argv):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_range_loads_the_pool_only_for_workers(child_env, jobs):
-    # A sweep from 1 runs in-process for any --jobs; above 1, --jobs 2 forks.
+def test_verify_range_jobs_loads_no_pool(child_env, jobs):
+    # --jobs selects nothing: a sweep from 1, and one above 1 narrower than
+    # two grains, run in-process.
     out = modules_after_main(child_env, ["verify", "range", "--from", "1", "--to", "30000",
                                          "--jobs", jobs])
     assert out["code"] == 0
@@ -98,31 +99,43 @@ def test_verify_range_loads_the_pool_only_for_workers(child_env, jobs):
     out = modules_after_main(child_env, ["verify", "range", "--from", "1000001",
                                          "--to", "1100000", "--jobs", jobs])
     assert out["code"] == 0
-    assert ("concurrent.futures.process" in out["modules"]) == (jobs != "1")
+    assert "concurrent.futures.process" not in out["modules"]
+
+
+def sweep_with_grain_and_cores(env, cores, to, jobs="1"):
+    """Run `verify range --from 1000001 --to TO` in a fresh interpreter whose
+    sweep has a grain of 10_000 and `cores` CPUs in its affinity mask: its
+    exit code and result, and whether the pool was loaded."""
+    return run_child(env, f"""
+        import contextlib, io, json, os, sys
+        from collatzq import cli, verify
+
+        verify._GRAIN = 10_000
+        os.sched_getaffinity = lambda pid: set(range({cores}))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["verify", "range", "--from", "1000001", "--to", "{to}",
+                             "--jobs", "{jobs}"])
+        print(json.dumps({{"code": code, "result": json.loads(buf.getvalue())["result"],
+                          "pooled": "concurrent.futures.process" in sys.modules}}))
+    """)
+
+
+@pytest.mark.parametrize("to, pooled", [
+    ("1100000", True),   # ten grains
+    ("1019999", False),  # one integer short of two grains
+])
+def test_verify_range_loads_the_pool_for_two_grains(child_env, to, pooled):
+    out = sweep_with_grain_and_cores(child_env, 2, to)
+    assert (out["code"], out["pooled"]) == (0, pooled)
 
 
 def test_verify_range_on_one_core_runs_in_process(child_env):
-    # With one core a pool would hold one process, so none is started.
-    out = run_child(child_env, """
-        import contextlib, io, json, os, sys
-        from collatzq import cli
-
-        os.cpu_count = lambda: 1
-
-        def run(jobs):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(["verify", "range", "--from", "1000001", "--to", "1100000",
-                                 "--jobs", jobs])
-            return [code, json.loads(buf.getvalue())["result"]]
-
-        two = run("2")
-        pooled = "concurrent.futures.process" in sys.modules
-        print(json.dumps({"two": two, "pooled": pooled, "one": run("1")}))
-    """)
-    assert out["pooled"] is False
-    assert out["two"] == out["one"]
-    assert out["one"][0] == 0
+    # With one usable core a pool would hold one process, so none is started.
+    two = sweep_with_grain_and_cores(child_env, 1, "1100000", jobs="2")
+    assert two["pooled"] is False
+    assert two == sweep_with_grain_and_cores(child_env, 1, "1100000", jobs="1")
+    assert two["code"] == 0
 
 
 def test_exports_resolve_to_their_home_objects(child_env):

@@ -5,7 +5,8 @@ public entry point is called once with one argument out of range, and the
 message must match exactly.  The 26 "must be >= floor" rules come first,
 in module order, then the hand-worded ones.  Last come the refusals of
 state that cannot fit in physical memory (ResourceLimitError), and a check
-that the per-level estimates behind them cover what a command holds.
+that the per-level and per-element estimates behind them cover what a
+command holds.
 """
 
 import os
@@ -115,6 +116,12 @@ TOO_BIG = [
     case("range-prefix", lambda: verify.verify_conjecture_range(1, 10**15),
          "a sweep of [1, 1000000000000000] needs about 2666666666732208 bytes, "
          "more than the 1073741824 bytes of physical memory"),
+    case("partition-window", lambda: quotient.partition_n(LEVELS, 3),
+         "a partition of [1, 18446744073709551617] needs about 3935305402391371011840 bytes, "
+         "more than the 1073741824 bytes of physical memory"),
+    case("suffset-members", lambda: bookkeeping.sufficient_set_members(LEVELS),
+         "a sufficient-set member list of [1, 18446744073709551617] needs about "
+         "787061080478274202368 bytes, more than the 1073741824 bytes of physical memory"),
 ]
 
 
@@ -158,6 +165,24 @@ def test_cli_refuses_unfit_backward_iteration_in_one_line(capsys, monkeypatch, a
                             f"of physical memory\n")
 
 
+WINDOW_BYTES = {"a partition": 640, "a sufficient-set member list": 128}
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["partition", "--bound", str(LEVELS), "--n", "3"], "a partition"),
+    (["suffset", "--members", "--bound", str(LEVELS)], "a sufficient-set member list"),
+], ids=["partition", "suffset-members"])
+def test_cli_refuses_unfit_windows_in_one_line(capsys, monkeypatch, argv, what):
+    # Each grew its member lists until memory ran out.
+    monkeypatch.setattr(core, "_physical_memory", lambda: GIB)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"collatzq: error: {what} of [1, {LEVELS}] needs about "
+                            f"{WINDOW_BYTES[what] * core._u0_count(1, LEVELS)} bytes, more than "
+                            f"the {GIB} bytes of physical memory\n")
+
+
 # A process's peak RSS counts the memory of its parent up to the exec, so
 # the command runs under a bare interpreter, never under this test process.
 _PEAK = """
@@ -192,7 +217,10 @@ def estimate(call):
      lambda: quotient.delta_sequence(7, 300_000)),
     (["census", "--n-max", "100000", "--bound", "100"],
      lambda: bookkeeping.census_class_of_one(100_000, 100)),
-], ids=["delta-sequence", "census"])
+    (["partition", "--bound", "300000", "--n", "3"], lambda: quotient.partition_n(300_000, 3)),
+    (["suffset", "--members", "--bound", "1000000"],
+     lambda: bookkeeping.sufficient_set_members(1_000_000)),
+], ids=["delta-sequence", "census", "partition", "suffset-members"])
 def test_estimate_covers_the_measured_peak(child_env, argv, call):
     # What the command holds beyond a command that holds nothing.
     held = peak_rss(child_env, argv) - peak_rss(child_env, ["map", "1", "--op", "T"])

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -35,6 +36,36 @@ def naive_reach(x, budget):
         s += 1
         mx = max(mx, v)
     return (s if v == 1 else None), mx
+
+
+def usable_cores(monkeypatch, cores):
+    """Give the sweep `cores` usable CPUs in its affinity mask, while
+    cpu_count() reports 64; None is a platform with no affinity call whose
+    cpu_count() is unknown."""
+    if cores is None:
+        monkeypatch.delattr(verify_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The sizes of the real process pools a test starts, on two usable CPUs
+    whatever the machine has.  A test starts one by patching verify._GRAIN low."""
+    import concurrent.futures
+    sizes = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    usable_cores(monkeypatch, 2)
+    return sizes
 
 
 @functools.cache
@@ -273,18 +304,21 @@ class TestRangeSweep:
                 v = t
                 assert v >= x
 
-    # Above 1, where more than one worker starts a pool; from 1 none does.
-    def test_worker_counts_agree(self, monkeypatch):
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-        a = verify_conjecture_range(10**12, 10**12 + 100_000, workers=1)
-        b = verify_conjecture_range(10**12, 10**12 + 100_000, workers=2)
+    # Above 1 a window narrower than two grains runs in-process; with the
+    # grain patched low the same window is shared by a pool.
+    def test_worker_counts_agree(self, monkeypatch, pools_started):
+        a = verify_conjecture_range(10**12, 10**12 + 100_000)
+        monkeypatch.setattr(verify_mod, "_GRAIN", 10_000)
+        b = verify_conjecture_range(10**12, 10**12 + 100_000)
         assert a == b
+        assert pools_started == [2]
 
-    def test_worker_counts_agree_with_findings(self, monkeypatch):
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-        a = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9, workers=1)
-        b = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9, workers=3)
+    def test_worker_counts_agree_with_findings(self, monkeypatch, pools_started):
+        a = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9)
+        monkeypatch.setattr(verify_mod, "_GRAIN", 10_000)
+        b = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9)
         assert a == b
+        assert pools_started == [2]
         assert a.truncated_elements and not a.all_reach_one
 
     def test_split_consistency(self):
@@ -513,9 +547,11 @@ class TestPrefixMemoryCap:
 
 
 class TestWorkerClamp:
-    """A pool never starts more processes than there are cores or grains of
-    10_000 integers and maps four spans per process; one process and a sweep
-    from 1 start none."""
+    """Above 1 a sweep starts min(cores, width // grain) processes, and at
+    least one: one sweeps the window in one in-process call, more map four
+    equal spans each over a pool; a sweep from 1 starts none.  The grain is
+    patched to 10_000, and each case passes a `workers` that the count must
+    ignore."""
 
     @pytest.fixture
     def mapped(self):
@@ -540,31 +576,39 @@ class TestWorkerClamp:
                 return map(fn, mapped[-1])
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(verify_mod, "_GRAIN", 10_000)
         return sizes
 
     @pytest.mark.parametrize("lo, hi", [(10**12, 10**12 + 100_000)])
     @pytest.mark.parametrize("cores, workers, started", [
         (2, 5_000, 2),    # clamped to the cores
-        (64, 5_000, 11),  # clamped to the 11 grains
+        (64, 5_000, 10),  # clamped to the 10 grains
         (None, 8, 1),     # cpu_count() unknown: one process, so no pool
-        (4, 3, 3),        # asked for fewer than both
+        (4, 3, 4),        # the cores, not the workers
     ])
     def test_processes_started(self, pool_sizes, monkeypatch, lo, hi, cores, workers, started):
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        usable_cores(monkeypatch, cores)
         report = verify_conjecture_range(lo, hi, workers=workers)
-        assert report == verify_conjecture_range(lo, hi, workers=1)
+        assert report == per_element_report(lo, hi, 10_000)
         assert pool_sizes == ([started] if started > 1 else [])  # one pool, none for one process
 
+    def test_cpu_count_where_there_is_no_affinity_call(self, pool_sizes, monkeypatch):
+        monkeypatch.delattr(verify_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 3)
+        verify_conjecture_range(10**12, 10**12 + 100_000, max_steps=9)
+        assert pool_sizes == [3]
+
     @pytest.mark.parametrize("cores, workers, hi", [
-        (None, 8, 10**12 + 100_000),  # one core
-        (64, 1, 10**12 + 100_000),    # one worker
+        (None, 8, 10**12 + 100_000),  # cpu_count() unknown
+        (1, 8, 10**12 + 100_000),     # one usable core
         (64, 8, 10**12 + 9_998),      # one grain
+        (64, 8, 10**12 + 19_998),     # one integer short of two grains
     ])
     def test_one_process_sweeps_the_window_once(self, pool_sizes, monkeypatch, cores, workers, hi):
         lo = 10**12
         calls = []
         sieve_chunk = verify_mod._sieve_chunk
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        usable_cores(monkeypatch, cores)
         monkeypatch.setattr(verify_mod, "_sieve_chunk",
                             lambda args: calls.append(args) or sieve_chunk(args))
         report = verify_conjecture_range(lo, hi, max_steps=9, workers=workers)
@@ -573,18 +617,20 @@ class TestWorkerClamp:
 
     @pytest.mark.parametrize("cores, workers, width", [
         (2, 5_000, 100_000),    # 8 spans of 2 processes
-        (64, 5_000, 100_000),   # 11 spans, one per grain
-        (4, 3, 1_000_000),      # 12 spans of 3 processes
-        (2, 2, 2**16 + 4_321),  # 7 spans, one per grain, of unequal width
+        (64, 5_000, 100_000),   # 40 spans of 10 processes, one per grain
+        (4, 3, 1_000_000),      # 16 spans of 4 processes
+        (2, 2, 2**16 + 4_321),  # 8 spans of unequal width
+        (2, 8, 19_999),         # exactly two grains: 8 spans of 2 processes
     ])
     def test_pool_maps_four_spans_per_process(self, pool_sizes, mapped, monkeypatch,
                                               cores, workers, width):
         lo = 2**64 + 1
         hi = lo + width
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        usable_cores(monkeypatch, cores)
         verify_conjecture_range(lo, hi, max_steps=9, workers=workers)
         (procs,), (spans,) = pool_sizes, mapped
-        assert len(spans) == min(4 * procs, (hi - lo + 1) // 10_000 + 1)
+        assert procs == min(cores, (hi - lo + 1) // 10_000)
+        assert len(spans) == 4 * procs
         assert spans[0][0] == lo and spans[-1][1] == hi
         assert all(b + 1 == a for (_, b, _), (a, _, _) in zip(spans, spans[1:]))
         widths = {b - a + 1 for a, b, _ in spans}
@@ -592,7 +638,7 @@ class TestWorkerClamp:
 
     @pytest.mark.parametrize("cores, workers", [(2, 5_000), (64, 5_000), (None, 8), (4, 3)])
     def test_sweep_from_one_starts_no_pool(self, pool_sizes, monkeypatch, cores, workers):
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+        usable_cores(monkeypatch, cores)
         report = verify_conjecture_range(1, 40_000, workers=workers)
         assert report == verify_conjecture_range(1, 40_000, workers=1)
         assert pool_sizes == []
@@ -602,10 +648,11 @@ _START_METHOD_SWEEP = """
 import json, multiprocessing, sys
 multiprocessing.set_start_method(sys.argv[1])
 from collatzq import verify
-verify.os.cpu_count = lambda: 2
 lo, hi = 2**64, 2**64 + 200_000
-pooled = verify.verify_conjecture_range(lo, hi, max_steps=9, workers=2)
-single = verify.verify_conjecture_range(lo, hi, max_steps=9, workers=1)
+single = verify.verify_conjecture_range(lo, hi, max_steps=9)
+verify._GRAIN = 10_000
+verify.os.sched_getaffinity = lambda pid: {0, 1}
+pooled = verify.verify_conjecture_range(lo, hi, max_steps=9)
 print(json.dumps([pooled == single, "concurrent.futures.process" in sys.modules,
                   len(single.truncated_elements)]))
 """
@@ -620,6 +667,28 @@ def test_pool_assumes_no_start_method(child_env, method):
     assert proc.returncode == 0, proc.stderr
     equal, pooled, truncated = json.loads(proc.stdout)
     assert equal and pooled and truncated > 0
+
+
+_ONE_CPU_SWEEP = """
+import json, os, sys
+from collatzq import verify
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+verify._GRAIN = 10_000
+report = verify.verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9, workers=2)
+print(json.dumps([report._asdict(), "concurrent.futures.process" in sys.modules]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask to set")
+def test_sweep_on_one_usable_cpu_runs_in_process(child_env):
+    # A child pinned to one CPU, as taskset or a cpuset pins a deployment,
+    # sweeps ten grains in-process however many CPUs cpu_count() reports.
+    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_SWEEP],
+                          capture_output=True, text=True, env=child_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report, pooled = json.loads(proc.stdout)
+    assert not pooled
+    assert RangeVerificationReport(**report) == per_element_report(2**64, 2**64 + 100_000, 9)
 
 
 def per_element_report(lo, hi, max_steps):
@@ -668,7 +737,7 @@ class TestResidueSieve:
 
     @pytest.mark.parametrize("max_steps", [*range(1, 12), 10_000])
     @pytest.mark.parametrize("region", REGIONS)
-    def test_matches_per_element_oracle(self, region, max_steps):
+    def test_matches_per_element_oracle(self, region, max_steps, monkeypatch, pools_started):
         rng = random.Random(f"{region}:{max_steps}")
         start, end = self.REGIONS[region]
         widths = [rng.randrange(0, 60), rng.randrange(60, 3_000)]
@@ -678,8 +747,11 @@ class TestResidueSieve:
             lo = rng.randrange(start, end - width)
             hi = lo + width
             want = per_element_report(lo, hi, max_steps)
-            for workers in (1, 2):
-                assert verify_conjecture_range(lo, hi, max_steps, workers) == want
+            assert verify_conjecture_range(lo, hi, max_steps) == want
+        # The widest window once more, as two grains: a pool of two processes.
+        monkeypatch.setattr(verify_mod, "_GRAIN", (hi - lo + 1) // 2)
+        assert verify_conjecture_range(lo, hi, max_steps) == want
+        assert pools_started == [2]
 
     def test_window_of_five_thousand_from_two(self):
         for max_steps in (3, 10_000):
