@@ -16,8 +16,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import (_require_at_least, _require_fits, _require_u0, _trajectory, _u0_count, iterate,
-                   nu2, tau, u0_range)
+from .core import (_require_at_least, _require_fits, _require_u0, _step, _trajectory, _u0_count,
+                   iterate, nu2, tau, u0_range)
 from .errors import DomainError, ResourceLimitError
 from .quotient import ClassWindow, _meets, _walk, class_inf, delta_sequence
 
@@ -79,18 +79,26 @@ def class_matrices(
 
     Minima come from the exact level scan (via delta_sequence, which also
     caps each scan at the previous level's minimum); each row's class cells
-    come from one windowed scan with the given bound.
+    come from one windowed scan with the given bound.  Each row's base is
+    one step on from the row above's, as iterate(x, k + 1) == T(iterate(x, k))
+    for every k.  A rectangle whose cells cannot fit in physical memory
+    raises ResourceLimitError before the first row.
     """
     _require_u0(x)
     if not (k_min <= 0 <= k_max):
         raise DomainError(f"window must straddle k=0, got [{k_min}, {k_max}]")
     _require_at_least(n_max, 0, "n_max")
     _require_at_least(bound, 1, "bound")
+    base_k = iterate(x, k_min)
+    # Per cell: 512 bytes for its record, keys and list, and 16 per window
+    # element it may hold (a list slot with room to grow, and a share of the int).
+    n_cells = (k_max - k_min + 1) * (n_max + 1)
+    _require_fits(n_cells * (512 + 16 * _u0_count(1, bound)),
+                  f"a matrix of {n_cells} cells over [1, {bound}]")
     cells: dict[tuple[int, int], ClassWindow] = {}
     minima: dict[tuple[int, int], int] = {}
     row_stab: dict[int, int] = {}
     for k in range(k_min, k_max + 1):
-        base_k = iterate(x, k)
         row = delta_sequence(base_k, n_max).values
         # Orbits that meet stay together, so the level-n cell is the z that
         # meet the base's orbit by level n: one scan fills the whole row.
@@ -103,6 +111,7 @@ def class_matrices(
         while s > 0 and row[s - 1] == row[n_max]:
             s -= 1
         row_stab[k] = s
+        base_k = _step(base_k)
     return BookkeepingWindow(
         base=x,
         k_min=k_min,

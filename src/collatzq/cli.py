@@ -194,8 +194,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; no effect (a sweep above 1 sizes its "
-                        "own process pool from the window and the usable CPUs)")
+                   help="accepted for compatibility; no effect; every sweep runs in one "
+                        "process")
     p.add_argument("--max-steps", type=int, default=10_000)
 
     return parser

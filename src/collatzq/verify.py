@@ -11,19 +11,18 @@ Two layers:
 * ``verify_conjecture_range`` sweeps an interval and certifies that every
   restricted-domain element reaches 1.  Per element it iterates only until
   the trajectory drops strictly below its start: combined with the verified
-  prefix below ``lo`` (a preceding pass, or nothing when lo == 1) a simple
-  induction gives the full claim, and the per-element work is independent
-  of processing order, so the process count never changes a reported number.
-  Above 1 the sweep is sieved by Terras's (1976) stopping-time classes mod
-  2**j, j <= 16, so each class is settled once per span and only the
-  survivors are iterated, 8 parity steps at a time where no value skipped
-  can decide the report (``jump`` builds both tables).  A window of two or
-  more grains of ``_GRAIN`` integers is shared by a pool of one process per
-  grain, up to the usable CPUs.  From 1 one ascending pass in the calling
-  process iterates each element's segment and composes it at once into
-  exact steps to 1.  An orbit cache takes no part in the sweep: afterwards
-  it receives the record holders, each recomputed from its full orbit, and
-  any record it already holds for them must agree.
+  prefix below ``lo`` (other sweeps in any order, or nothing when lo == 1)
+  a simple induction gives the full claim, and the per-element work is independent
+  of processing order, so any split of the window produces the identical
+  report.  Every sweep runs in the calling process.  Above 1 it is sieved by
+  Terras's (1976) stopping-time classes mod 2**j, j <= 16, so each class is
+  settled once per window and only the survivors are iterated, 8 parity
+  steps at a time where no value skipped can decide the report (``jump``
+  builds both tables).  From 1 one ascending pass iterates each element's
+  segment and composes it at once into exact steps to 1.  An orbit cache
+  takes no part in the sweep: afterwards it receives the record holders,
+  each recomputed from its full orbit, and any record it already holds for
+  them must agree.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -31,7 +30,6 @@ reported loudly in the output record, never folded into other outcomes.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from array import array
@@ -463,12 +461,11 @@ def _top_member(r: int, period: int, lo: int, hi: int) -> int:
     return x if x >= lo else 0
 
 
-def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
+def _sieve_window(lo: int, hi: int, max_steps: int) -> tuple:
     # (count, steps_max, exc_max, cycles, truncated): the aggregate of
     # _segment_outcome over the elements of [lo, hi], lo > 1.  Only the
     # survivors and the classes that drop beyond max_steps are iterated, by
     # _survivor_outcome; every other class is settled whole.
-    lo, hi, max_steps = args
     survivors, classes = _sieve_table()
     mod = _SIEVE_MOD
     residues = [*survivors, *chain.from_iterable(
@@ -495,11 +492,6 @@ def _sieve_chunk(args: tuple[int, int, int]) -> tuple:
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 
-# Integers per process above 1: a pool pays from two grains under fork and
-# forkserver (2-core VM, Python 3.11); under spawn not before about four.
-_GRAIN = 2_000_000
-
-
 def _prefix_bytes(hi: int) -> int:
     # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
     # third integer, and 64 KiB for the rest: the record holders and, with a
@@ -517,10 +509,12 @@ def verify_conjecture_range(
     """Verify that every restricted-domain element of [lo, hi] reaches 1.
 
     Each element is iterated only until its trajectory drops strictly below
-    it.  Elements below lo must have been verified by a preceding pass (or
-    there are none, when lo == 1); within the range the usual induction
-    closes the argument.  The per-element outcome does not depend on
-    processing order, so any process count produces the identical report.
+    it.  Elements below lo must be verified too, by other sweeps in any
+    order (there are none when lo == 1); within the range the usual
+    induction closes the argument.  The per-element outcome does not depend on
+    processing order, so any split of the window produces the identical
+    report: for lo > 1 the reports of [lo, m] and [m + 1, hi] fold into that
+    of [lo, hi] (counts add, maxima take the max, findings concatenate).
 
     A trajectory that returns to its start is a cycle; one that exhausts
     max_steps while at or above its start is truncated.  Either finding is
@@ -537,13 +531,11 @@ def verify_conjecture_range(
     not derivable from the range alone, so statistics are segment-local
     and no cache is read or written.
 
-    Above 1 the sweep runs in min(cores, (hi - lo + 1) // _GRAIN) processes,
-    at least one, with cores the CPUs in this process's affinity mask: one
-    sweeps the window in-process, more map four spans each over a pool.
-    From 1 it runs in the calling process and keeps an 8-byte total per
-    element; one that would need more than physical memory raises
-    ResourceLimitError before iterating.  ``workers`` is validated but has
-    no effect.
+    Every sweep runs in the calling process; a caller that wants more cores
+    sweeps disjoint windows in separate processes and folds their reports.
+    From 1 the sweep keeps an 8-byte total per element; one that would need
+    more than physical memory raises ResourceLimitError before iterating.
+    ``workers`` is validated but has no effect.
     """
     _require_at_least(lo, 1, "lo")
     if hi < lo:
@@ -555,34 +547,9 @@ def verify_conjecture_range(
         summary, holders = _sweep_prefix(hi, max_steps)
         if cache is not None:
             _store_records(cache, holders)
-        chunks = [summary]
     else:
-        # cpu_count() ignores the affinity mask that taskset or a cpuset sets.
-        span = hi - lo + 1
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        procs = max(1, min(cores, span // _GRAIN))
-        if procs == 1:
-            chunks = [_sieve_chunk((lo, hi, max_steps))]
-        else:
-            # Four spans per process: the others take up a late worker's share.
-            n = 4 * procs
-            args = [(lo + i * span // n, lo + (i + 1) * span // n - 1, max_steps)
-                    for i in range(n)]
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                chunks = list(pool.map(_sieve_chunk, args))
-
-    checked = steps_max = exc_max = 0
-    cycles: list[int] = []
-    truncated: list[int] = []
-    for count, c_steps, c_exc, c_cycles, c_trunc in chunks:
-        checked += count
-        steps_max = max(steps_max, c_steps)
-        exc_max = max(exc_max, c_exc)
-        cycles.extend(c_cycles)
-        truncated.extend(c_trunc)
-
+        summary = _sieve_window(lo, hi, max_steps)
+    checked, steps_max, exc_max, cycles, truncated = summary
     return RangeVerificationReport(
         lo=lo, hi=hi, elements_checked=checked, all_reach_one=not cycles and not truncated,
         max_steps_observed=steps_max, max_excursion_observed=exc_max,

@@ -46,3 +46,28 @@ def run_module(child_env):
         )
 
     return _run
+
+
+@pytest.fixture
+def split_sweep():
+    """split(lo, m, hi, max_steps): the report of [lo, hi], lo > 1, folded from
+    those of [lo, m] and [m + 1, hi], as a caller that sweeps the two windows
+    in separate processes folds them: counts add, maxima take the max, and
+    findings concatenate."""
+    from collatzq import RangeVerificationReport, verify_conjecture_range
+
+    def _split(lo, m, hi, max_steps=10_000):
+        a = verify_conjecture_range(lo, m, max_steps)
+        b = verify_conjecture_range(m + 1, hi, max_steps)
+        return RangeVerificationReport(
+            lo=lo,
+            hi=hi,
+            elements_checked=a.elements_checked + b.elements_checked,
+            all_reach_one=a.all_reach_one and b.all_reach_one,
+            max_steps_observed=max(a.max_steps_observed, b.max_steps_observed),
+            max_excursion_observed=max(a.max_excursion_observed, b.max_excursion_observed),
+            cycles_found=a.cycles_found + b.cycles_found,
+            truncated_elements=a.truncated_elements + b.truncated_elements,
+        )
+
+    return _split

@@ -7,7 +7,6 @@ ten-million sweep and the million-element scans).
 """
 
 import json
-import os
 import random
 import time
 
@@ -29,7 +28,6 @@ from collatzq import (
     verify_conjecture_range,
     xi,
 )
-from collatzq import verify
 from collatzq.core import _step
 
 
@@ -70,8 +68,7 @@ def test_criterion_2_lemma_suite(announce):
              f"{failures} failures, {elapsed:.1f}s")
 
 
-def test_criterion_3_conjecture_sweep(announce, monkeypatch):
-    cores = os.cpu_count() or 1
+def test_criterion_3_conjecture_sweep(announce, split_sweep):
     start = time.perf_counter()
     report = verify_conjecture_range(1, 10_000_000, max_steps=10_000)
     elapsed = time.perf_counter() - start
@@ -82,15 +79,13 @@ def test_criterion_3_conjecture_sweep(announce, monkeypatch):
         and report.elements_checked == 3_333_333
         and elapsed < 120.0
     )
-    # Above 1 this window is narrower than two grains, so it runs in-process;
-    # with the grain patched low it is shared by a pool of two processes.
+    # Above 1 a window split in two, as two processes would sweep it, folds
+    # to the report of the whole.
     single = verify_conjecture_range(10**12, 10**12 + 100_000)
-    monkeypatch.setattr(verify, "_GRAIN", 10_000)
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    multi = verify_conjecture_range(10**12, 10**12 + 100_000)
-    ok = ok and single == multi
-    announce(3, "sweep of [1, 1e7] reaches 1, process-count independent", ok,
-             f"{report.elements_checked} elements, {elapsed:.1f}s on {cores} core(s)")
+    split = split_sweep(10**12, 10**12 + 54_321, 10**12 + 100_000)
+    ok = ok and single == split
+    announce(3, "sweep of [1, 1e7] reaches 1, split independent", ok,
+             f"{report.elements_checked} elements, {elapsed:.1f}s in one process")
 
 
 def test_criterion_4_oracle_equivalence(announce):

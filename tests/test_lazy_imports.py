@@ -11,12 +11,13 @@ import textwrap
 
 import pytest
 
+POOL = ["concurrent.futures.process", "multiprocessing"]
 SWEEP_AND_POOL = [
     "collatzq.verify",
     "collatzq.quotient",
     "collatzq.bookkeeping",
     "collatzq.cache",
-    "concurrent.futures.process",
+    *POOL,
 ]
 
 
@@ -67,7 +68,7 @@ def test_verify_lemmas_loads_no_pool(child_env):
     out = modules_after_main(child_env, ["verify", "lemmas", "--bound", "100"])
     assert out["code"] == 0
     assert "collatzq.verify" in out["modules"]
-    assert "concurrent.futures.process" not in out["modules"]
+    assert [m for m in POOL if m in out["modules"]] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -90,51 +91,45 @@ def test_commands_load_neither_dataclasses_nor_inspect(child_env, argv):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_range_jobs_loads_no_pool(child_env, jobs):
-    # --jobs selects nothing: a sweep from 1, and one above 1 narrower than
-    # two grains, run in-process.
+    # --jobs selects nothing: a sweep from 1, and one above 1, run in-process.
     out = modules_after_main(child_env, ["verify", "range", "--from", "1", "--to", "30000",
                                          "--jobs", jobs])
     assert out["code"] == 0
-    assert "concurrent.futures.process" not in out["modules"]
+    assert [m for m in POOL if m in out["modules"]] == []
     out = modules_after_main(child_env, ["verify", "range", "--from", "1000001",
                                          "--to", "1100000", "--jobs", jobs])
     assert out["code"] == 0
-    assert "concurrent.futures.process" not in out["modules"]
+    assert [m for m in POOL if m in out["modules"]] == []
 
 
-def sweep_with_grain_and_cores(env, cores, to, jobs="1"):
-    """Run `verify range --from 1000001 --to TO` in a fresh interpreter whose
-    sweep has a grain of 10_000 and `cores` CPUs in its affinity mask: its
-    exit code and result, and whether the pool was loaded."""
+def sweep_with_cores(env, cores, lo, hi, jobs="1"):
+    """Run `verify range --from LO --to HI` in a fresh interpreter with
+    `cores` CPUs in its affinity mask: its exit code and result, and whether
+    a pool module was loaded."""
     return run_child(env, f"""
         import contextlib, io, json, os, sys
-        from collatzq import cli, verify
+        from collatzq import cli
 
-        verify._GRAIN = 10_000
         os.sched_getaffinity = lambda pid: set(range({cores}))
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main(["verify", "range", "--from", "1000001", "--to", "{to}",
+            code = cli.main(["verify", "range", "--from", "{lo}", "--to", "{hi}",
                              "--jobs", "{jobs}"])
         print(json.dumps({{"code": code, "result": json.loads(buf.getvalue())["result"],
-                          "pooled": "concurrent.futures.process" in sys.modules}}))
+                          "pooled": any(m in sys.modules for m in {POOL!r})}}))
     """)
 
 
-@pytest.mark.parametrize("to, pooled", [
-    ("1100000", True),   # ten grains
-    ("1019999", False),  # one integer short of two grains
-])
-def test_verify_range_loads_the_pool_for_two_grains(child_env, to, pooled):
-    out = sweep_with_grain_and_cores(child_env, 2, to)
-    assert (out["code"], out["pooled"]) == (0, pooled)
+def test_verify_range_loads_no_pool_on_a_wide_window(child_env):
+    # 4e6 + 1 integers on two usable CPUs, wide enough for a pool to pay: in-process.
+    out = sweep_with_cores(child_env, 2, 10**12 + 1, 10**12 + 4_000_001, jobs="2")
+    assert (out["code"], out["pooled"]) == (0, False)
 
 
 def test_verify_range_on_one_core_runs_in_process(child_env):
-    # With one usable core a pool would hold one process, so none is started.
-    two = sweep_with_grain_and_cores(child_env, 1, "1100000", jobs="2")
+    two = sweep_with_cores(child_env, 1, 1000001, 1100000, jobs="2")
     assert two["pooled"] is False
-    assert two == sweep_with_grain_and_cores(child_env, 1, "1100000", jobs="1")
+    assert two == sweep_with_cores(child_env, 1, 1000001, 1100000, jobs="1")
     assert two["code"] == 0
 
 

@@ -122,6 +122,9 @@ TOO_BIG = [
     case("suffset-members", lambda: bookkeeping.sufficient_set_members(LEVELS),
          "a sufficient-set member list of [1, 18446744073709551617] needs about "
          "787061080478274202368 bytes, more than the 1073741824 bytes of physical memory"),
+    case("class_matrices-cells", lambda: bookkeeping.class_matrices(7, k_max=LEVELS, bound=10),
+         "a matrix of 202914184810805067831 cells over [1, 10] needs about "
+         "113631943494050837985360 bytes, more than the 1073741824 bytes of physical memory"),
 ]
 
 
@@ -165,21 +168,24 @@ def test_cli_refuses_unfit_backward_iteration_in_one_line(capsys, monkeypatch, a
                             f"of physical memory\n")
 
 
-WINDOW_BYTES = {"a partition": 640, "a sufficient-set member list": 128}
+MATRIX_CELLS = (LEVELS + 4) * 11  # rows -3..LEVELS, levels 0..10
 
 
-@pytest.mark.parametrize("argv, what", [
-    (["partition", "--bound", str(LEVELS), "--n", "3"], "a partition"),
-    (["suffset", "--members", "--bound", str(LEVELS)], "a sufficient-set member list"),
-], ids=["partition", "suffset-members"])
-def test_cli_refuses_unfit_windows_in_one_line(capsys, monkeypatch, argv, what):
-    # Each grew its member lists until memory ran out.
+@pytest.mark.parametrize("argv, what, nbytes", [
+    (["partition", "--bound", str(LEVELS), "--n", "3"], f"a partition of [1, {LEVELS}]",
+     640 * core._u0_count(1, LEVELS)),
+    (["suffset", "--members", "--bound", str(LEVELS)],
+     f"a sufficient-set member list of [1, {LEVELS}]", 128 * core._u0_count(1, LEVELS)),
+    (["matrix", "7", "--k-max", str(LEVELS), "--bound", "10"],
+     f"a matrix of {MATRIX_CELLS} cells over [1, 10]", MATRIX_CELLS * (512 + 16 * 3)),
+], ids=["partition", "suffset-members", "matrix"])
+def test_cli_refuses_unfit_windows_in_one_line(capsys, monkeypatch, argv, what, nbytes):
+    # Each grew its member lists, or its rows, until memory ran out.
     monkeypatch.setattr(core, "_physical_memory", lambda: GIB)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"collatzq: error: {what} of [1, {LEVELS}] needs about "
-                            f"{WINDOW_BYTES[what] * core._u0_count(1, LEVELS)} bytes, more than "
+    assert captured.err == (f"collatzq: error: {what} needs about {nbytes} bytes, more than "
                             f"the {GIB} bytes of physical memory\n")
 
 
@@ -220,7 +226,13 @@ def estimate(call):
     (["partition", "--bound", "300000", "--n", "3"], lambda: quotient.partition_n(300_000, 3)),
     (["suffset", "--members", "--bound", "1000000"],
      lambda: bookkeeping.sufficient_set_members(1_000_000)),
-], ids=["delta-sequence", "census", "partition", "suffset-members"])
+    # From k = 0, so no backward iteration is charged first.
+    (["matrix", "7", "--k-min", "0", "--k-max", "5000", "--bound", "10"],
+     lambda: bookkeeping.class_matrices(7, k_min=0, k_max=5_000, bound=10)),
+    (["matrix", "7", "--k-min", "0", "--k-max", "1000", "--bound", "1000"],
+     lambda: bookkeeping.class_matrices(7, k_min=0, k_max=1_000, bound=1_000)),
+], ids=["delta-sequence", "census", "partition", "suffset-members", "matrix-bound-10",
+        "matrix-bound-1000"])
 def test_estimate_covers_the_measured_peak(child_env, argv, call):
     # What the command holds beyond a command that holds nothing.
     held = peak_rss(child_env, argv) - peak_rss(child_env, ["map", "1", "--op", "T"])

@@ -2,10 +2,9 @@
 
 import functools
 import json
+import multiprocessing
 import os
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
@@ -39,33 +38,16 @@ def naive_reach(x, budget):
 
 
 def usable_cores(monkeypatch, cores):
-    """Give the sweep `cores` usable CPUs in its affinity mask, while
-    cpu_count() reports 64; None is a platform with no affinity call whose
-    cpu_count() is unknown."""
+    """Report `cores` usable CPUs in the affinity mask, while cpu_count()
+    reports 64; None is a platform with no affinity call whose cpu_count()
+    is unknown.  No sweep may read either."""
     if cores is None:
-        monkeypatch.delattr(verify_mod.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
     else:
-        monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: set(range(cores)),
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
-
-
-@pytest.fixture
-def pools_started(monkeypatch):
-    """The sizes of the real process pools a test starts, on two usable CPUs
-    whatever the machine has.  A test starts one by patching verify._GRAIN low."""
-    import concurrent.futures
-    sizes = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    usable_cores(monkeypatch, 2)
-    return sizes
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
 
 @functools.cache
@@ -304,21 +286,17 @@ class TestRangeSweep:
                 v = t
                 assert v >= x
 
-    # Above 1 a window narrower than two grains runs in-process; with the
-    # grain patched low the same window is shared by a pool.
-    def test_worker_counts_agree(self, monkeypatch, pools_started):
-        a = verify_conjecture_range(10**12, 10**12 + 100_000)
-        monkeypatch.setattr(verify_mod, "_GRAIN", 10_000)
-        b = verify_conjecture_range(10**12, 10**12 + 100_000)
-        assert a == b
-        assert pools_started == [2]
+    # Above 1 a caller shares a window among processes by splitting it: one
+    # worker's report must equal the fold of two workers' reports.  The split
+    # is not a multiple of 2^16, so a sieve period straddles it.
+    def test_worker_counts_agree(self, split_sweep):
+        lo, hi = 10**12, 10**12 + 100_000
+        assert verify_conjecture_range(lo, hi) == split_sweep(lo, lo + 54_321, hi)
 
-    def test_worker_counts_agree_with_findings(self, monkeypatch, pools_started):
-        a = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9)
-        monkeypatch.setattr(verify_mod, "_GRAIN", 10_000)
-        b = verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9)
-        assert a == b
-        assert pools_started == [2]
+    def test_worker_counts_agree_with_findings(self, split_sweep):
+        lo, hi = 2**64, 2**64 + 100_000
+        a = verify_conjecture_range(lo, hi, max_steps=9)
+        assert a == split_sweep(lo, lo + 54_321, hi, max_steps=9)
         assert a.truncated_elements and not a.all_reach_one
 
     def test_split_consistency(self):
@@ -547,148 +525,41 @@ class TestPrefixMemoryCap:
 
 
 class TestWorkerClamp:
-    """Above 1 a sweep starts min(cores, width // grain) processes, and at
-    least one: one sweeps the window in one in-process call, more map four
-    equal spans each over a pool; a sweep from 1 starts none.  The grain is
-    patched to 10_000, and each case passes a `workers` that the count must
-    ignore."""
+    """Every sweep runs in the calling process and starts none, whatever
+    `workers` and the usable CPUs: above 1 as one _sieve_window call over the
+    whole window, from 1 as one ascending pass.  Each case passes a `workers`
+    and a CPU count that the sweep must ignore."""
 
-    @pytest.fixture
-    def mapped(self):
-        return []  # the argument list of each pool's map
+    @pytest.fixture(autouse=True)
+    def no_process_starts(self, monkeypatch):
+        def start(process):
+            raise AssertionError("a sweep started a process")
 
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch, mapped):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                mapped.append(list(args))
-                return map(fn, mapped[-1])
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(verify_mod, "_GRAIN", 10_000)
-        return sizes
-
-    @pytest.mark.parametrize("lo, hi", [(10**12, 10**12 + 100_000)])
-    @pytest.mark.parametrize("cores, workers, started", [
-        (2, 5_000, 2),    # clamped to the cores
-        (64, 5_000, 10),  # clamped to the 10 grains
-        (None, 8, 1),     # cpu_count() unknown: one process, so no pool
-        (4, 3, 4),        # the cores, not the workers
-    ])
-    def test_processes_started(self, pool_sizes, monkeypatch, lo, hi, cores, workers, started):
-        usable_cores(monkeypatch, cores)
-        report = verify_conjecture_range(lo, hi, workers=workers)
-        assert report == per_element_report(lo, hi, 10_000)
-        assert pool_sizes == ([started] if started > 1 else [])  # one pool, none for one process
-
-    def test_cpu_count_where_there_is_no_affinity_call(self, pool_sizes, monkeypatch):
-        monkeypatch.delattr(verify_mod.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 3)
-        verify_conjecture_range(10**12, 10**12 + 100_000, max_steps=9)
-        assert pool_sizes == [3]
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
 
     @pytest.mark.parametrize("cores, workers, hi", [
         (None, 8, 10**12 + 100_000),  # cpu_count() unknown
         (1, 8, 10**12 + 100_000),     # one usable core
-        (64, 8, 10**12 + 9_998),      # one grain
-        (64, 8, 10**12 + 19_998),     # one integer short of two grains
+        (64, 8, 10**12 + 9_998),      # two windows narrower than a sieve period
+        (64, 8, 10**12 + 19_998),
+        (64, 1, 10**12 + 100_000),
     ])
-    def test_one_process_sweeps_the_window_once(self, pool_sizes, monkeypatch, cores, workers, hi):
+    def test_one_process_sweeps_the_window_once(self, monkeypatch, cores, workers, hi):
         lo = 10**12
         calls = []
-        sieve_chunk = verify_mod._sieve_chunk
+        sieve_window = verify_mod._sieve_window
         usable_cores(monkeypatch, cores)
-        monkeypatch.setattr(verify_mod, "_sieve_chunk",
-                            lambda args: calls.append(args) or sieve_chunk(args))
+        monkeypatch.setattr(verify_mod, "_sieve_window",
+                            lambda *args: calls.append(args) or sieve_window(*args))
         report = verify_conjecture_range(lo, hi, max_steps=9, workers=workers)
-        assert (calls, pool_sizes) == ([(lo, hi, 9)], [])
+        assert calls == [(lo, hi, 9)]
         assert report == per_element_report(lo, hi, 9)
 
-    @pytest.mark.parametrize("cores, workers, width", [
-        (2, 5_000, 100_000),    # 8 spans of 2 processes
-        (64, 5_000, 100_000),   # 40 spans of 10 processes, one per grain
-        (4, 3, 1_000_000),      # 16 spans of 4 processes
-        (2, 2, 2**16 + 4_321),  # 8 spans of unequal width
-        (2, 8, 19_999),         # exactly two grains: 8 spans of 2 processes
-    ])
-    def test_pool_maps_four_spans_per_process(self, pool_sizes, mapped, monkeypatch,
-                                              cores, workers, width):
-        lo = 2**64 + 1
-        hi = lo + width
-        usable_cores(monkeypatch, cores)
-        verify_conjecture_range(lo, hi, max_steps=9, workers=workers)
-        (procs,), (spans,) = pool_sizes, mapped
-        assert procs == min(cores, (hi - lo + 1) // 10_000)
-        assert len(spans) == 4 * procs
-        assert spans[0][0] == lo and spans[-1][1] == hi
-        assert all(b + 1 == a for (_, b, _), (a, _, _) in zip(spans, spans[1:]))
-        widths = {b - a + 1 for a, b, _ in spans}
-        assert max(widths) - min(widths) <= 1 and {s for _, _, s in spans} == {9}
-
     @pytest.mark.parametrize("cores, workers", [(2, 5_000), (64, 5_000), (None, 8), (4, 3)])
-    def test_sweep_from_one_starts_no_pool(self, pool_sizes, monkeypatch, cores, workers):
+    def test_sweep_from_one_starts_no_pool(self, monkeypatch, cores, workers):
+        want = verify_conjecture_range(1, 40_000, workers=1)
         usable_cores(monkeypatch, cores)
-        report = verify_conjecture_range(1, 40_000, workers=workers)
-        assert report == verify_conjecture_range(1, 40_000, workers=1)
-        assert pool_sizes == []
-
-
-_START_METHOD_SWEEP = """
-import json, multiprocessing, sys
-multiprocessing.set_start_method(sys.argv[1])
-from collatzq import verify
-lo, hi = 2**64, 2**64 + 200_000
-single = verify.verify_conjecture_range(lo, hi, max_steps=9)
-verify._GRAIN = 10_000
-verify.os.sched_getaffinity = lambda pid: {0, 1}
-pooled = verify.verify_conjecture_range(lo, hi, max_steps=9)
-print(json.dumps([pooled == single, "concurrent.futures.process" in sys.modules,
-                  len(single.truncated_elements)]))
-"""
-
-
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_pool_assumes_no_start_method(child_env, method):
-    # Workers that inherit nothing from the parent build their own tables
-    # and give the report of one in-process pass, truncations included.
-    proc = subprocess.run([sys.executable, "-c", _START_METHOD_SWEEP, method],
-                          capture_output=True, text=True, env=child_env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    equal, pooled, truncated = json.loads(proc.stdout)
-    assert equal and pooled and truncated > 0
-
-
-_ONE_CPU_SWEEP = """
-import json, os, sys
-from collatzq import verify
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-verify._GRAIN = 10_000
-report = verify.verify_conjecture_range(2**64, 2**64 + 100_000, max_steps=9, workers=2)
-print(json.dumps([report._asdict(), "concurrent.futures.process" in sys.modules]))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask to set")
-def test_sweep_on_one_usable_cpu_runs_in_process(child_env):
-    # A child pinned to one CPU, as taskset or a cpuset pins a deployment,
-    # sweeps ten grains in-process however many CPUs cpu_count() reports.
-    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_SWEEP],
-                          capture_output=True, text=True, env=child_env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    report, pooled = json.loads(proc.stdout)
-    assert not pooled
-    assert RangeVerificationReport(**report) == per_element_report(2**64, 2**64 + 100_000, 9)
+        assert verify_conjecture_range(1, 40_000, workers=workers) == want
 
 
 def per_element_report(lo, hi, max_steps):
@@ -737,7 +608,7 @@ class TestResidueSieve:
 
     @pytest.mark.parametrize("max_steps", [*range(1, 12), 10_000])
     @pytest.mark.parametrize("region", REGIONS)
-    def test_matches_per_element_oracle(self, region, max_steps, monkeypatch, pools_started):
+    def test_matches_per_element_oracle(self, region, max_steps):
         rng = random.Random(f"{region}:{max_steps}")
         start, end = self.REGIONS[region]
         widths = [rng.randrange(0, 60), rng.randrange(60, 3_000)]
@@ -748,10 +619,6 @@ class TestResidueSieve:
             hi = lo + width
             want = per_element_report(lo, hi, max_steps)
             assert verify_conjecture_range(lo, hi, max_steps) == want
-        # The widest window once more, as two grains: a pool of two processes.
-        monkeypatch.setattr(verify_mod, "_GRAIN", (hi - lo + 1) // 2)
-        assert verify_conjecture_range(lo, hi, max_steps) == want
-        assert pools_started == [2]
 
     def test_window_of_five_thousand_from_two(self):
         for max_steps in (3, 10_000):
