@@ -148,12 +148,22 @@ def connected_class(x: int, bound: int, k_range: int, cap: int) -> ClassWindow:
     """
     _require_u0(x)
     _require_at_least(k_range, 0, "k_range")
+    # The window of iterate(x, -k_range) holds its trajectory, which passes
+    # through all 2K + 1 iterates when cap allows.  A tau step adds under 3
+    # bits, so each is below the width iterate charges for the walk back,
+    # which is refused first.
+    width = (x.bit_length() + 3 * k_range) // 8
+    _require_fits(width, f"a backward iteration of {k_range} steps")
+    _require_fits((min(cap, 2 * k_range) + 1) * (width + 32),
+                  f"a connected class over {2 * k_range + 1} iterates")
     members: set[int] = set()
     exact = True
-    for k in range(-k_range, k_range + 1):
-        w = class_inf(iterate(x, k), bound, cap)
+    base = iterate(x, -k_range)
+    for _ in range(2 * k_range + 1):
+        w = class_inf(base, bound, cap)
         members.update(w.members)
         exact = exact and w.exact_within_bound
+        base = _step(base)
     return ClassWindow(base=x, level=None, bound=bound,
                        members=sorted(members), exact_within_bound=exact)
 

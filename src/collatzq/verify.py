@@ -18,11 +18,13 @@ Two layers:
   Terras's (1976) stopping-time classes mod 2**j, j <= 16, so each class is
   settled once per window and only the survivors are iterated, 8 parity
   steps at a time where no value skipped can decide the report (``jump``
-  builds both tables).  From 1 one ascending pass iterates each element's
-  segment and composes it at once into exact steps to 1.  An orbit cache
-  takes no part in the sweep: afterwards it receives the record holders,
-  each recomputed from its full orbit, and any record it already holds for
-  them must agree.
+  builds both tables).  From 1 one ascending pass (``prefix``, loaded only
+  then) composes exact steps to 1: most totals are copied from a smaller
+  element's with strided slices, since a stopping-time class fixes a drop
+  target affine in x, and about 18 % of the elements iterate their segment
+  here.  An orbit cache takes no part in the sweep: afterwards it receives
+  the record holders, each recomputed from its full orbit, and any record
+  it already holds for them must agree.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import random
 import time
-from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -492,13 +493,6 @@ def _sieve_window(lo: int, hi: int, max_steps: int) -> tuple:
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 
-def _prefix_bytes(hi: int) -> int:
-    # What a sweep of [1, hi] holds at once: the 8-byte totals slot of every
-    # third integer, and 64 KiB for the rest: the record holders and, with a
-    # cache, their records.
-    return 8 * (hi // 3 + 1) + (1 << 16)
-
-
 def verify_conjecture_range(
     lo: int,
     hi: int,
@@ -521,7 +515,7 @@ def verify_conjecture_range(
     reported in its own list and forces all_reach_one to False.
 
     When lo == 1 the report's step statistics are exact steps-to-one,
-    composed from the segments in one ascending pass, which also finds the
+    composed in one ascending pass over blocks, which also finds the
     record holders: the delay records (steps to 1 above every smaller
     element's) and the path records (orbit maximum above every smaller
     element's).  An attached cache never supplies a number to the report.
@@ -533,7 +527,7 @@ def verify_conjecture_range(
 
     Every sweep runs in the calling process; a caller that wants more cores
     sweeps disjoint windows in separate processes and folds their reports.
-    From 1 the sweep keeps an 8-byte total per element; one that would need
+    From 1 the sweep keeps a 4-byte total per element; one that would need
     more than physical memory raises ResourceLimitError before iterating.
     ``workers`` is validated but has no effect.
     """
@@ -543,10 +537,12 @@ def verify_conjecture_range(
     _require_at_least(max_steps, 1, "max_steps")
     _require_at_least(workers, 1, "workers")
     if lo == 1:
-        _require_fits(_prefix_bytes(hi), f"a sweep of [1, {hi}]")
-        summary, holders = _sweep_prefix(hi, max_steps)
+        from . import prefix
+
+        _require_fits(prefix._prefix_bytes(hi), f"a sweep of [1, {hi}]")
+        summary, holders = prefix._sweep_prefix(hi, max_steps)
         if cache is not None:
-            _store_records(cache, holders)
+            prefix._store_records(cache, holders)
     else:
         summary = _sieve_window(lo, hi, max_steps)
     checked, steps_max, exc_max, cycles, truncated = summary
@@ -554,56 +550,3 @@ def verify_conjecture_range(
         lo=lo, hi=hi, elements_checked=checked, all_reach_one=not cycles and not truncated,
         max_steps_observed=steps_max, max_excursion_observed=exc_max,
         cycles_found=sorted(cycles), truncated_elements=sorted(truncated))
-
-
-def _sweep_prefix(hi: int, max_steps: int) -> tuple:
-    # ((count, steps_max, exc_max, cycles, truncated), holders) of [1, hi]
-    # from one ascending pass of _segment_outcome.  totals[x // 3] is x's
-    # exact steps to 1, or -1 where a cycle or truncation upstream leaves it
-    # undefined; a drop target is a smaller restricted-domain element, so its
-    # total is known before x's.  1 drops to 0, whose slot is 1's own and
-    # starts at 0.  holders maps each record holder to its total: each x
-    # where steps_max rises, and each x whose segment peak beats every
-    # earlier segment peak.  The orbit of x passes only through segments of
-    # elements up to x, so without findings these peaks are exactly the
-    # path records.
-    totals = array("q", [-1]) * (hi // 3 + 1)
-    totals[0] = 0
-    holders: dict[int, int] = {}
-    steps_max = exc_max = 0
-    cycles: list[int] = []
-    truncated: list[int] = []
-    for x in u0_range(1, hi):
-        kind, s, v, mx = _segment_outcome(x, max_steps)
-        if kind == "drop":
-            up = totals[v // 3]
-            total = s + up if up >= 0 else -1
-        else:
-            total = -1
-            (cycles if kind == "cycle" else truncated).append(x)
-        totals[x // 3] = total
-        if total > steps_max:
-            steps_max = total
-            holders[x] = total
-        if mx > exc_max:
-            exc_max = mx
-            holders[x] = total
-    return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders
-
-
-def _store_records(cache: OrbitCache, holders: dict[int, int]) -> None:
-    # Each record holder whose steps are defined, in ascending order: its
-    # exact orbit from core.orbit, checked against the composed total, and
-    # one batch store, which counts hits and misses and raises CacheError
-    # for a cached record that disagrees.
-    records = []
-    for x, total in sorted(holders.items()):
-        if total < 0:
-            continue
-        orbit = core.orbit(x, max(total, 1))
-        if orbit.steps_to_one != total:
-            raise RuntimeError(
-                f"x={x} reaches 1 in {orbit.steps_to_one} steps, but the sweep composed {total}"
-            )
-        records.append((x, total, orbit.max_excursion))
-    cache.store_many(records)

@@ -411,7 +411,7 @@ class TestCachePlumbing:
         (["orbit", "6"], "x must be an odd positive integer, got 6"),
         (["verify", "range", "--from", "1", "--to", "0"], "range is empty: lo=1, hi=0"),
         (["verify", "range", "--from", "1", "--to", "100000000000000"],
-         "a sweep of [1, 100000000000000] needs about 266666666732208 bytes, "
+         "a sweep of [1, 100000000000000] needs about 133333333398872 bytes, "
          "more than the 1073741824 bytes of physical memory"),
     ], ids=["orbit-even", "range-empty", "range-unfit"])
     def test_rejected_command_creates_no_cache_file(self, capsys, tmp_path, monkeypatch,
@@ -444,7 +444,7 @@ class TestCachePlumbing:
         def sweep(*args):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr("collatzq.verify._sweep_prefix", sweep)
+        monkeypatch.setattr("collatzq.prefix._sweep_prefix", sweep)
         path = tmp_path / "missing" / "c.jsonl"
         code, out, err = run_cli(capsys, "verify", "range", "--from", "1", "--to", "300000",
                                  "--cache", str(path))

@@ -72,6 +72,24 @@ def test_verify_lemmas_loads_no_pool(child_env):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "range", "--from", str(10**12 + 1), "--to", str(10**12 + 100_000)],
+    ["verify", "range", "--from", str(2**64 + 1), "--to", str(2**64 + 100_000)],
+    ["verify", "lemmas", "--bound", "100"],
+], ids=["range-1e12", "range-2^64", "lemmas"])
+def test_sweeps_above_one_and_lemmas_skip_the_prefix_pass(child_env, argv):
+    out = modules_after_main(child_env, argv)
+    assert out["code"] == 0
+    assert "collatzq.verify" in out["modules"]
+    assert "collatzq.prefix" not in out["modules"]
+
+
+def test_sweep_from_one_loads_the_prefix_pass(child_env):
+    out = modules_after_main(child_env, ["verify", "range", "--from", "1", "--to", "30000"])
+    assert out["code"] == 0
+    assert "collatzq.prefix" in out["modules"]
+
+
+@pytest.mark.parametrize("argv", [
     ["map", "1", "--op", "T"],
     ["class", "1", "--n", "5", "--bound", "1000", "--method", "bfs"],
     ["suffset", "--bound", "1000"],

@@ -113,8 +113,11 @@ TOO_BIG = [
     case("iterate-backward", lambda: core.iterate(7, -LEVELS),
          "a backward iteration of 18446744073709551617 steps needs about "
          "6917529027641081856 bytes, more than the 1073741824 bytes of physical memory"),
+    case("connected_class-iterates", lambda: bookkeeping.connected_class(7, 10, 40_000, 10**5),
+         "a connected class over 80001 iterates needs about 1202575032 bytes, "
+         "more than the 1073741824 bytes of physical memory"),
     case("range-prefix", lambda: verify.verify_conjecture_range(1, 10**15),
-         "a sweep of [1, 1000000000000000] needs about 2666666666732208 bytes, "
+         "a sweep of [1, 1000000000000000] needs about 1333333333398872 bytes, "
          "more than the 1073741824 bytes of physical memory"),
     case("partition-window", lambda: quotient.partition_n(LEVELS, 3),
          "a partition of [1, 18446744073709551617] needs about 3935305402391371011840 bytes, "

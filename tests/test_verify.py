@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -20,7 +21,9 @@ from collatzq import (
     verify_conjecture_range,
 )
 from collatzq import core
+from collatzq.core import _u0_count
 from collatzq import jump as jump_mod
+from collatzq import prefix as prefix_mod
 from collatzq import verify as verify_mod
 
 
@@ -484,10 +487,10 @@ class TestPrefixMemoryCap:
             assert (cache.hits, cache.misses) == (0, 0)
 
     def test_cap_counts_the_arrays_a_sweep_holds(self, monkeypatch):
-        # The one per-element array is the 8-byte total of every third integer.
+        # The one per-element array is the 4-byte total of every third integer.
         hi = 3_000
-        totals = 8 * (hi // 3 + 1)
-        need = verify_mod._prefix_bytes(hi)
+        totals = 4 * (hi // 3 + 1)
+        need = prefix_mod._prefix_bytes(hi)
         assert totals < need
         monkeypatch.setattr(core, "_physical_memory", lambda: need)
         assert verify_conjecture_range(1, hi).all_reach_one
@@ -499,8 +502,9 @@ class TestPrefixMemoryCap:
 
     def test_cached_estimate_covers_measured_peak(self, tmp_path):
         # One estimate serves a sweep with or without a cache: it must cover
-        # a cached sweep's measured peak without being vacuous.
-        hi = 30_000
+        # a cached sweep's measured peak without being vacuous.  At 4 bytes a
+        # slot, hi = 60000 holds the 80 KB of totals that hi = 30000 held at 8.
+        hi = 60_000
         cache = OrbitCache(tmp_path / "c.jsonl")
         tracemalloc.start()
         try:
@@ -509,12 +513,12 @@ class TestPrefixMemoryCap:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        need = verify_mod._prefix_bytes(hi)
+        need = prefix_mod._prefix_bytes(hi)
         assert peak <= need <= 2 * peak
 
     def test_cached_sweep_refused_at_its_own_cost(self, tmp_path, monkeypatch):
         hi = 3_000
-        need = verify_mod._prefix_bytes(hi)
+        need = prefix_mod._prefix_bytes(hi)
         monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
         cache = OrbitCache(tmp_path / "c.jsonl")
         with pytest.raises(ResourceLimitError, match="physical memory"):
@@ -522,6 +526,133 @@ class TestPrefixMemoryCap:
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
         monkeypatch.setattr(core, "_physical_memory", lambda: need)
         assert verify_conjecture_range(1, hi, cache=cache).all_reach_one
+
+
+def per_element_prefixes(his, max_steps):
+    """{hi: per_element_prefix(hi, max_steps)} for every hi in his, from one pass."""
+    totals = array("q", [-1]) * (max(his) // 3 + 1)
+    totals[0] = 0
+    holders = {}
+    steps_max = exc_max = 0
+    cycles, truncated = [], []
+    out = {}
+    pending = sorted(his, reverse=True)
+    for x in u0_range(1, pending[0]):
+        while pending[-1] < x:
+            out[pending.pop()] = ((_u0_count(1, x - 1), steps_max, exc_max, cycles[:], truncated[:]),
+                                  dict(holders))
+        kind, s, v, mx = verify_mod._segment_outcome(x, max_steps)
+        if kind == "drop":
+            up = totals[v // 3]
+            total = s + up if up >= 0 else -1
+        else:
+            total = -1
+            (cycles if kind == "cycle" else truncated).append(x)
+        totals[x // 3] = total
+        if total > steps_max:
+            steps_max = total
+            holders[x] = total
+        if mx > exc_max:
+            exc_max = mx
+            holders[x] = total
+    for hi in pending:
+        out[hi] = ((_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders)
+    return out
+
+
+def per_element_prefix(hi, max_steps):
+    """((count, steps_max, exc_max, cycles, truncated), holders) of [1, hi]
+    from one ascending pass of _segment_outcome over every element: the pass
+    the strided sweep from 1 replaced, kept as its oracle.
+
+    totals[x // 3] is x's exact steps to 1, or -1 where a cycle or
+    truncation upstream leaves it undefined; a drop target is a smaller
+    restricted-domain element, so its total is known before x's.  holders
+    maps each x where steps_max rises, and each x whose segment peak beats
+    every earlier segment peak, to its total.
+    """
+    return per_element_prefixes([hi], max_steps)[hi]
+
+
+def _block_edges(top):
+    # The first element of each block of the strided pass below top: a head
+    # [1, 4096), then blocks [B, B + min(B // 8, 2**15)).
+    edges = [4096]
+    while edges[-1] < top:
+        edges.append(edges[-1] + min(edges[-1] // 8, 1 << 15))
+    return edges
+
+
+class TestStridedPrefixPass:
+    """The strided sweep from 1 against the per-element pass it replaced."""
+
+    @pytest.mark.parametrize("max_steps", [*range(1, 12), 40, 10_000])
+    def test_matches_per_element_pass(self, max_steps):
+        rng = random.Random(max_steps)
+        top = 300_000 if max_steps >= 40 else 70_000
+        edges = [e for e in _block_edges(top) if e < top]
+        his = {1, 2, 4095, 4096, 4097, top,
+               *(e + d for e in (edges[1], edges[len(edges) // 2], edges[-1]) for d in (-1, 0, 1)),
+               *(k * 2**16 + d for k in range(1, top >> 16) for d in (-1, 1)),
+               rng.randint(4097, top), rng.randint(4097, top)}
+        want = per_element_prefixes(his, max_steps)
+        for hi in sorted(his):
+            assert prefix_mod._sweep_prefix(hi, max_steps) == want[hi], hi
+
+    def test_strided_members_that_may_hold_path_records_are_iterated(self, monkeypatch):
+        # A seam whose segment peaks are the starts themselves, except on the
+        # strided class 3 (mod 16) outside the predecessor rule's x = 11, 35
+        # (mod 36): there every member beats every earlier peak, so each is a
+        # path record, which the pass finds only by iterating the parts whose
+        # peak bound beats the running peak.
+        real = verify_mod._segment_outcome
+
+        def flat_peaks(x, max_steps):
+            kind, s, v, mx = real(x, max_steps)
+            return (kind, s, v, mx if x % 16 == 3 and x % 36 not in (11, 35) else x)
+
+        monkeypatch.setattr(verify_mod, "_segment_outcome", flat_peaks)
+        got = prefix_mod._sweep_prefix(20_000, 10_000)
+        assert got == per_element_prefix(20_000, 10_000)
+        assert {x for x in u0_range(4096, 20_000) if x % 16 == 3 and x % 36 not in (11, 35)} \
+            <= got[1].keys()
+
+    @pytest.mark.parametrize("kind", ["cycle", "truncated"])
+    def test_injected_finding_leaves_strided_descendants_undefined(self, monkeypatch, kind):
+        # s = 4127 is a sieve survivor past the head, iterated by the pass.
+        # x = 44021 = 1 (mod 4) is strided and drops to s in one step, and
+        # the iterated y = 46375 drops to x.  A finding at s leaves x's total
+        # undefined, so y, given a peak that makes it a path record, is
+        # held with -1, in the strided pass as in the per-element oracle.
+        s, x, y, hi = 4127, 44021, 46375, 50_000
+        real = verify_mod._segment_outcome
+        assert s in jump_mod._sieve_table().survivors
+        assert real(x, 10_000)[:3] == ("drop", 1, s) and real(y, 10_000)[:3] == ("drop", 5, x)
+        iterated = set()
+
+        def peak_at_y(v, max_steps):
+            iterated.add(v)
+            kind_, steps, w, mx = real(v, max_steps)
+            return (kind_, steps, w, 10**40 if v == y else mx)
+
+        monkeypatch.setattr(verify_mod, "_segment_outcome", peak_at_y)
+        clean = prefix_mod._sweep_prefix(hi, 10_000)
+        assert clean[1][y] >= 0
+        assert s in iterated and y in iterated and x not in iterated
+
+        def finding_at_s(v, max_steps):
+            if v == s:
+                return (kind, max_steps, 0, real(s, max_steps)[3]) if kind == "truncated" \
+                    else (kind, 4, s, real(s, max_steps)[3])
+            return peak_at_y(v, max_steps)
+
+        monkeypatch.setattr(verify_mod, "_segment_outcome", finding_at_s)
+        got = prefix_mod._sweep_prefix(hi, 10_000)
+        assert got == per_element_prefix(hi, 10_000)
+        assert got[1][y] == -1
+        assert got[0][3 if kind == "cycle" else 4] == [s]
+        report = verify_conjecture_range(1, hi)
+        assert not report.all_reach_one
 
 
 class TestWorkerClamp:
