@@ -30,8 +30,9 @@ order, through ``verify._segment_outcome``.
 
 Every target of both rules lies below its block: the largest class ratio
 is 3**3 / 2**5, so d < 27x/32 + 1, and y < 2x/3; for x < 9B/8 both are
-below B once B >= 4096.  A finding never enters a slice, because undefined totals are a
-sentinel far below zero that stays negative after any chain of + c and - 1.
+below B once B >= 4096.  An undefined total stays undefined through the
+slices: it is a sentinel far below zero, still negative after any chain of
++ c and - 1.
 
 Record holders: a delay record (steps to 1 above every smaller element's)
 is read off each block's totals with C-level ``max`` and ``index``.  A path
@@ -65,8 +66,8 @@ _UNDEFINED = -(1 << 30)  # an undefined total, still negative after any chain of
 
 def _prefix_bytes(hi: int) -> int:
     # What a sweep of [1, hi] holds at once: the 4-byte totals slot of every
-    # third integer, and 64 KiB for the rest: the part table, the record
-    # holders and, with a cache, their records.
+    # third integer, and 64 KiB for the rest: the part table, a block's flags
+    # and slices, the record holders and, with a cache, their records.
     return 4 * (hi // 3 + 1) + (1 << 16)
 
 

@@ -21,10 +21,10 @@ from collatzq import (
     verify_conjecture_range,
 )
 from collatzq import core
-from collatzq.core import _u0_count
 from collatzq import jump as jump_mod
 from collatzq import prefix as prefix_mod
 from collatzq import verify as verify_mod
+from collatzq.core import _u0_count
 
 
 def naive_reach(x, budget):
@@ -539,8 +539,8 @@ def per_element_prefixes(his, max_steps):
     pending = sorted(his, reverse=True)
     for x in u0_range(1, pending[0]):
         while pending[-1] < x:
-            out[pending.pop()] = ((_u0_count(1, x - 1), steps_max, exc_max, cycles[:], truncated[:]),
-                                  dict(holders))
+            summary = (_u0_count(1, x - 1), steps_max, exc_max, cycles[:], truncated[:])
+            out[pending.pop()] = (summary, dict(holders))
         kind, s, v, mx = verify_mod._segment_outcome(x, max_steps)
         if kind == "drop":
             up = totals[v // 3]
@@ -641,10 +641,10 @@ class TestStridedPrefixPass:
         assert s in iterated and y in iterated and x not in iterated
 
         def finding_at_s(v, max_steps):
-            if v == s:
-                return (kind, max_steps, 0, real(s, max_steps)[3]) if kind == "truncated" \
-                    else (kind, 4, s, real(s, max_steps)[3])
-            return peak_at_y(v, max_steps)
+            if v != s:
+                return peak_at_y(v, max_steps)
+            peak = real(s, max_steps)[3]
+            return (kind, max_steps, 0, peak) if kind == "truncated" else (kind, 4, s, peak)
 
         monkeypatch.setattr(verify_mod, "_segment_outcome", finding_at_s)
         got = prefix_mod._sweep_prefix(hi, 10_000)
