@@ -71,3 +71,25 @@ def split_sweep():
         )
 
     return _split
+
+
+@pytest.fixture
+def per_element_suffset():
+    """scan(lo, hi): the (histogram, violations) of nu2(3*tau(x) + 1) over
+    u0_range(lo, hi), evaluated element by element: the oracle for
+    sufficient_set_check's count of x mod 18."""
+    from collatzq import nu2, tau, u0_range
+
+    def _scan(lo, hi):
+        hist = {"1": 0, "2": 0, "3": 0, "4": 0, "other": 0}
+        violations = []
+        for x in u0_range(lo, hi):
+            e = nu2(3 * tau(x) + 1)
+            if 1 <= e <= 4:
+                hist[str(e)] += 1
+            else:
+                hist["other"] += 1
+                violations.append(x)
+        return hist, violations
+
+    return _scan

@@ -175,13 +175,17 @@ def test_criterion_7_census(announce):
              f"counts(2,100)={[c for _, c in counts]}")
 
 
-def test_criterion_8_sufficient_set(announce):
+def test_criterion_8_sufficient_set(announce, per_element_suffset):
+    # The scan evaluates tau at every element; sufficient_set_check counts
+    # residues mod 18 by proof, and must agree with it.
     start = time.perf_counter()
+    hist, violations = per_element_suffset(1, 1_000_000)
     report = sufficient_set_check(1_000_000)
     elapsed = time.perf_counter() - start
-    ok = not report.violations and report.tau_nu2_histogram["other"] == 0 and elapsed < 60.0
+    ok = (not violations and hist["other"] == 0 and not report.violations
+          and report.tau_nu2_histogram == hist and elapsed < 60.0)
     announce(8, "sufficient set clean at 1e6", ok,
-             f"{len(report.violations)} violations, {elapsed:.1f}s")
+             f"{len(violations)} violations, {elapsed:.1f}s")
 
 
 def _envelope(proc):

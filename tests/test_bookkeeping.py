@@ -4,6 +4,7 @@ import pytest
 
 from collatzq import (
     DomainError,
+    SufficientSetReport,
     census_class_of_one,
     class_inf,
     class_matrices,
@@ -15,7 +16,6 @@ from collatzq import (
     row_tail_analysis,
     sufficient_set_check,
     sufficient_set_members,
-    tau,
     u0_range,
 )
 
@@ -139,17 +139,36 @@ class TestSufficientSet:
         report = sufficient_set_check(20)
         assert report.tau_nu2_histogram == {"1": 2, "2": 3, "3": 1, "4": 1, "other": 0}
 
-    def test_histogram_counts_match_definition(self):
+    def test_histogram_counts_match_definition(self, per_element_suffset):
         bound = 2_000
         report = sufficient_set_check(bound)
-        brute = {"1": 0, "2": 0, "3": 0, "4": 0, "other": 0}
-        for x in u0_range(1, bound):
-            e = nu2(3 * tau(x) + 1)
-            brute["1234"[e - 1] if 1 <= e <= 4 else "other"] = (
-                brute.get("1234"[e - 1] if 1 <= e <= 4 else "other", 0) + 1
-            )
-        assert report.tau_nu2_histogram == brute
-        assert sum(brute.values()) == len(list(u0_range(1, bound)))
+        hist, violations = per_element_suffset(1, bound)
+        assert report == SufficientSetReport(bound, violations, hist)
+        assert sum(hist.values()) == len(list(u0_range(1, bound)))
+
+    def test_every_bound_to_2000_matches_the_scan(self, per_element_suffset):
+        # The scan of [1, b] grows one element window at a time.
+        hist = {"1": 0, "2": 0, "3": 0, "4": 0, "other": 0}
+        violations = []
+        for b in range(1, 2_001):
+            step_hist, step_violations = per_element_suffset(b, b)
+            hist = {e: hist[e] + step_hist[e] for e in hist}
+            violations += step_violations
+            assert sufficient_set_check(b) == SufficientSetReport(b, violations, hist), b
+
+    @pytest.mark.parametrize("bound", [10**k + d for k in range(6) for d in (-1, 0, 1)
+                                       if 10**k + d >= 1])
+    def test_powers_of_ten_match_the_scan(self, bound, per_element_suffset):
+        hist, violations = per_element_suffset(1, bound)
+        assert sufficient_set_check(bound) == SufficientSetReport(bound, violations, hist)
+
+    @pytest.mark.parametrize("lo", [10**12, 2**64], ids=["1e12", "2^64"])
+    def test_far_window_difference_matches_the_scan(self, lo, per_element_suffset):
+        hi = lo + 3_000
+        below, above = sufficient_set_check(lo), sufficient_set_check(hi)
+        hist, violations = per_element_suffset(lo + 1, hi)
+        assert {e: above.tau_nu2_histogram[e] - below.tau_nu2_histogram[e] for e in hist} == hist
+        assert above.violations == below.violations == violations == []
 
 
 class TestCensus:

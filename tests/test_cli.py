@@ -94,6 +94,12 @@ class TestWorkedExamples:
         assert code == 0
         assert env["result"]["violation_count"] == 0
 
+    def test_suffset_past_2_64_counts_every_element(self, capsys):
+        code, env, _ = run_json(capsys, "suffset", "--bound", str(2**64 + 1))
+        assert code == 0
+        hist = env["result"]["tau_nu2_histogram"]
+        assert sum(int(v) for v in hist.values()) == core._u0_count(1, 2**64 + 1)
+
     def test_appendix_class(self, capsys):
         _, env, _ = run_json(
             capsys, "appendix-class", "7", "--bound", "30", "--k-range", "2", "--cap", "200"

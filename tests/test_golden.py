@@ -1,7 +1,7 @@
 """Golden envelopes: every subcommand's output, byte for byte.
 
 Each case runs `cli.main` in-process and compares its exit code, stdout and
-stderr with `golden_envelopes.json`, which holds 88 envelopes: 44 cases, each
+stderr with `golden_envelopes.json`, which holds 90 envelopes: 45 cases, each
 in JSON and CSV.  Only the wall-clock fields vary from
 run to run: the envelope's `timing` and each lemma check's `elapsed` are
 masked in both JSON and CSV output before the comparison.
@@ -63,6 +63,8 @@ _CASES = [
     ("census", ["census", "--n-max", "3", "--bound", "100"], None),
     ("suffset", ["suffset", "--bound", "300"], None),
     ("suffset-members", ["suffset", "--bound", "100", "--members"], None),
+    # Counted by residue, so a bound past 2**64 answers at once.
+    ("suffset-2-64", ["suffset", "--bound", str(2**64 + 1)], None),
     ("appendix-class", ["appendix-class", "7", "--bound", "30", "--k-range", "2",
                         "--cap", "200"], None),
     ("verify-lemmas", ["verify", "lemmas", "--bound", "150", "--n-cap", "10",
