@@ -59,7 +59,7 @@ class SufficientSetReport(NamedTuple):
     """Result of the membership check for minimal preimages.
 
     For every x in the window, the 2-adic valuation of 3*tau(x)+1 is
-    bucketed; the claim under test is that it always lands in {1, 2, 3, 4},
+    bucketed; it always lands in {1, 2, 3, 4} (see sufficient_set_check),
     i.e. the minimal preimage of every element lies in the sufficient set.
     """
 
