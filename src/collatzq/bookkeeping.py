@@ -13,6 +13,7 @@ except where the floor 1 is reached (from there the value provably stays).
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -206,8 +207,10 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
     trajectory hits 1 within n steps, so first-hit counts per level yield
     every level's count; counts are nondecreasing in n by nesting.  The
     first-hit counts are read off the preimage tree of 1, whose level d
-    holds exactly the elements first hitting 1 at step d; when that walk
-    passes its budget, a forward scan of the window counts them instead.
+    holds exactly the elements first hitting 1 at step d.  Past the walk's
+    budget they are the histogram of the window's exact steps to 1, from one
+    prefix._sweep_prefix (which charges its memory) with segments cut at
+    n_max + 1 steps, which leaves a total undefined only above n_max.
     """
     _require_at_least(n_max, 0, "n_max")
     _require_at_least(bound, 1, "bound")
@@ -217,13 +220,8 @@ def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:
     try:
         first_hit = [len(level) for level in _walk(1, n_max, bound)]
     except ResourceLimitError:
-        first_hit = _census_scan(n_max, bound)
+        from .prefix import _sweep_prefix
+
+        steps = Counter(_sweep_prefix(bound, n_max + 1)[2])
+        first_hit = [steps[t] for t in range(n_max + 1)]
     return list(enumerate(accumulate(first_hit)))
-
-
-def _census_scan(n_max: int, bound: int) -> list[int]:
-    # First-hit counts per level by iterating every window element forward.
-    first_hit = [0] * (n_max + 1)
-    for _, i in _meets([1], n_max, bound):
-        first_hit[i] += 1
-    return first_hit

@@ -1,4 +1,5 @@
-"""The parity tables of a sweep above 1: the residue sieve and the jump kernel.
+"""The segment of both sweeps, step by step, and the parity tables of a
+sweep above 1: the residue sieve and the jump kernel.
 
 Let T1(n) be (3n+1)/2 for odd n and n/2 for even n, and c_j(b) the odd
 steps among the first j from b.  For n = a*2**j + b and i <= j,
@@ -14,7 +15,8 @@ accelerated map T.  One tree of these entries gives both tables:
   Barina (2021), from which a survivor skips blocks of 8 T1 steps.
 
 The tables live apart from ``verify`` so that compiling ``verify`` from
-source, the memory peak of a short sweep, does not grow with them.
+source, the memory peak of a short sweep, does not grow with them, and the
+sweep from 1 (``prefix``) imports this module without the lemma suite.
 """
 
 from __future__ import annotations
@@ -88,8 +90,34 @@ def _sieve_table() -> _SieveTable:
     return _SieveTable(tuple(sorted(survivors)), tuple(classes))
 
 
+def _segment_outcome(x: int, max_steps: int) -> tuple[str, int, int, int]:
+    """Iterate from x until the trajectory drops strictly below x.
+
+    Returns (kind, steps, value, seg_max):
+      * ("drop", s, v, m): dropped to v < x after s steps, peak m.
+        x == 1 is terminal by convention: ("drop", 0, 0, 1).
+      * ("cycle", s, x, m): returned to x itself -- a nontrivial cycle
+        (every cycle is caught this way at its minimal element).
+      * ("truncated", max_steps, 0, m): budget exhausted while still >= x.
+    """
+    if x == 1:
+        return ("drop", 0, 0, 1)
+    v, mx, s = x, x, 0
+    while s < max_steps:
+        t = 3 * v + 1
+        v = t >> ((t & -t).bit_length() - 1)
+        s += 1
+        if v < x:
+            return ("drop", s, v, mx)
+        if v > mx:
+            mx = v
+        if v == x:
+            return ("cycle", s, v, mx)
+    return ("truncated", s, 0, mx)
+
+
 def _survivor_outcome(x: int, max_steps: int, peak: int) -> tuple[str, int, int]:
-    """verify._segment_outcome(x, max_steps) for a chunk whose running peak is peak.
+    """_segment_outcome(x, max_steps) for a chunk whose running peak is peak.
 
     Returns (kind, steps, max(peak, seg_max)).  A block of _JUMP_BITS T1
     steps is jumped when no value in it can be at or below x or above the

@@ -1,14 +1,15 @@
 """The sweep of [1, hi]: exact steps to 1 for every element, and its record holders.
 
-``verify_conjecture_range`` imports this module only for lo == 1, so a sweep
-above 1 never compiles it.  totals[x // 3] holds the exact steps to 1 of the
+``verify_conjecture_range`` imports this module only for lo == 1, and the
+census only past its walk's budget, so a sweep above 1 and a shallow census
+never compile it.  totals[x // 3] holds the exact steps to 1 of the
 restricted-domain element x (x // 3 numbers them 0, 1, 2, ... in order), or a
 negative value where a cycle or a truncation upstream leaves them undefined.
 Each total comes from a smaller element's, so the pass runs upwards: a head
 [1, 4096) element by element, then blocks [B, B + min(B // 8, 2**15)).  A
 block fills most of its totals with strided array slices, by two rules, and
 iterates the rest (about 18 % of its elements) one by one, in ascending
-order, through ``verify._segment_outcome``.
+order, through ``jump._segment_outcome``.
 
 * **Strided parts.**  On a stopping-time class x = r (mod 2**j) of
   ``jump._sieve_table`` (Terras 1976), write x = a * 2**j + r.  Then
@@ -51,8 +52,8 @@ from array import array
 from itertools import compress
 from typing import TYPE_CHECKING, Iterator
 
-from . import core, verify
-from .core import _u0_count, u0_range
+from . import core, jump
+from .core import _require_fits, _u0_count, u0_range
 from .jump import _entry, _sieve_table
 
 if TYPE_CHECKING:
@@ -128,10 +129,11 @@ def _fill(totals: array, view: memoryview, parts: list, lo: int, end: int,
 
 
 def _sweep_prefix(hi: int, max_steps: int) -> tuple:
-    # ((count, steps_max, exc_max, cycles, truncated), holders) of [1, hi].
-    # 1 drops to 0, whose slot is 1's own and starts at 0.  holders maps each
-    # record holder to its total, -1 where it is undefined.
-    segment = verify._segment_outcome
+    # ((count, steps_max, exc_max, cycles, truncated), holders, totals) of
+    # [1, hi].  1 drops to 0, whose slot is 1's own and starts at 0.  holders
+    # maps each record holder to its total, -1 where it is undefined.
+    _require_fits(_prefix_bytes(hi), f"a sweep of [1, {hi}]")
+    segment = jump._segment_outcome
     parts = _parts(max_steps)
     totals = array("i", [_UNDEFINED]) * (hi // 3 + 1)
     totals[0] = 0
@@ -165,7 +167,7 @@ def _sweep_prefix(hi: int, max_steps: int) -> tuple:
             best = max(view[k0:k1], default=-1)
         steps_max = max(steps_max, top)
         lo, end = end, min(hi + 1, end + min(end // 8, _MAX_BLOCK))
-    return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders
+    return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders, totals
 
 
 def _store_records(cache: OrbitCache, holders: dict[int, int]) -> None:

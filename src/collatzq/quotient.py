@@ -119,8 +119,8 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
 
 
 # Nodes a bfs walk may append beyond the forward scan's cost, so that small
-# windows never exhaust it.  The census falls back to the scan instead, so
-# it gets no floor.
+# windows never exhaust it.  The census falls back to a sweep's totals
+# instead, so it gets no floor.
 _BFS_FLOOR = 1 << 16
 
 

@@ -38,7 +38,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import core, quotient
-from .core import _require_at_least, _require_fits, _u0_count, u0_range
+from .core import _require_at_least, _u0_count, u0_range
 from .errors import DomainError
 from .jump import _SIEVE_MOD, _sieve_table, _survivor_outcome
 
@@ -423,34 +423,6 @@ def run_lemma_suite(bound: int, n_cap: int = 50, sample_seed: int = 0) -> list[L
 # --------------------------------------------------------------------------
 # range sweep
 
-def _segment_outcome(x: int, max_steps: int) -> tuple[str, int, int, int]:
-    """Iterate from x until the trajectory drops strictly below x.
-
-    Returns (kind, steps, value, seg_max):
-      * ("drop", s, v, m): dropped to v < x after s steps, peak m.
-        x == 1 is terminal by convention: ("drop", 0, 0, 1).
-      * ("cycle", s, x, m): returned to x itself -- a nontrivial cycle
-        (every cycle is caught this way at its minimal element).
-      * ("truncated", max_steps, 0, m): budget exhausted while still >= x.
-    """
-    if x == 1:
-        return ("drop", 0, 0, 1)
-    v = x
-    mx = x
-    s = 0
-    while s < max_steps:
-        t = 3 * v + 1
-        v = t >> ((t & -t).bit_length() - 1)
-        s += 1
-        if v < x:
-            return ("drop", s, v, mx)
-        if v > mx:
-            mx = v
-        if v == x:
-            return ("cycle", s, v, mx)
-    return ("truncated", s, 0, mx)
-
-
 def _top_member(r: int, period: int, lo: int, hi: int) -> int:
     """The largest x = r (mod period) in [lo, hi] with x % 3 != 0, or 0.
 
@@ -464,7 +436,7 @@ def _top_member(r: int, period: int, lo: int, hi: int) -> int:
 
 def _sieve_window(lo: int, hi: int, max_steps: int) -> tuple:
     # (count, steps_max, exc_max, cycles, truncated): the aggregate of
-    # _segment_outcome over the elements of [lo, hi], lo > 1.  Only the
+    # jump._segment_outcome over the elements of [lo, hi], lo > 1.  Only the
     # survivors and the classes that drop beyond max_steps are iterated, by
     # _survivor_outcome; every other class is settled whole.
     survivors, classes = _sieve_table()
@@ -539,8 +511,7 @@ def verify_conjecture_range(
     if lo == 1:
         from . import prefix
 
-        _require_fits(prefix._prefix_bytes(hi), f"a sweep of [1, {hi}]")
-        summary, holders = prefix._sweep_prefix(hi, max_steps)
+        summary, holders = prefix._sweep_prefix(hi, max_steps)[:2]
         if cache is not None:
             prefix._store_records(cache, holders)
     else:

@@ -89,6 +89,18 @@ def test_sweep_from_one_loads_the_prefix_pass(child_env):
     assert "collatzq.prefix" in out["modules"]
 
 
+@pytest.mark.parametrize("argv, loads_prefix", [
+    (["census", "--n-max", "20", "--bound", "2000"], False),
+    # The walk passes its budget, so the census counts a sweep's totals.
+    (["census", "--n-max", "60", "--bound", "100"], True),
+], ids=["walk", "sweep"])
+def test_census_loads_the_prefix_pass_only_past_its_walk(child_env, argv, loads_prefix):
+    out = modules_after_main(child_env, argv)
+    assert out["code"] == 0
+    assert ("collatzq.prefix" in out["modules"]) is loads_prefix
+    assert "collatzq.verify" not in out["modules"]
+
+
 @pytest.mark.parametrize("argv", [
     ["map", "1", "--op", "T"],
     ["class", "1", "--n", "5", "--bound", "1000", "--method", "bfs"],

@@ -155,6 +155,17 @@ def test_cli_refuses_unfit_levels_in_one_line(capsys, monkeypatch, argv, what):
                             f"bytes of physical memory\n")
 
 
+def test_census_past_its_walk_refuses_an_unfit_sweep_in_one_line(capsys, monkeypatch):
+    # 61 levels fit, the walk passes its budget, and the sweep of [1, 100]
+    # that would count first hits instead does not fit.
+    monkeypatch.setattr(core, "_physical_memory", lambda: 40_000)
+    assert main(["census", "--n-max", "60", "--bound", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("collatzq: error: a sweep of [1, 100] needs about 65672 bytes, "
+                            "more than the 40000 bytes of physical memory\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["map", "7", "--op", "f", "--k", str(-LEVELS)],
     ["appendix-class", "7", "--bound", "10", "--k-range", str(LEVELS)],

@@ -337,14 +337,14 @@ class TestRangeSweep:
         assert report.max_steps_observed == best
 
     def test_synthetic_cycle_reported(self, monkeypatch):
-        real = verify_mod._segment_outcome
+        real = jump_mod._segment_outcome
 
         def fake(x, max_steps):
             if x == 25:
                 return ("cycle", 4, 25, 99)
             return real(x, max_steps)
 
-        monkeypatch.setattr(verify_mod, "_segment_outcome", fake)
+        monkeypatch.setattr(jump_mod, "_segment_outcome", fake)
         report = verify_conjecture_range(1, 100, workers=1)
         assert report.cycles_found == [25]
         assert not report.all_reach_one
@@ -428,13 +428,13 @@ class TestRangeSweepWithCache:
     def test_wrong_composed_total_is_caught_before_it_is_stored(self, tmp_path, monkeypatch):
         # 31 holds a record of [1, 100]; one step too many in its segment
         # disagrees with its orbit, which the sweep recomputes before storing.
-        real = verify_mod._segment_outcome
+        real = jump_mod._segment_outcome
 
         def one_step_too_many(x, max_steps):
             kind, s, v, mx = real(x, max_steps)
             return (kind, s + (x == 31), v, mx)
 
-        monkeypatch.setattr(verify_mod, "_segment_outcome", one_step_too_many)
+        monkeypatch.setattr(jump_mod, "_segment_outcome", one_step_too_many)
         with pytest.raises(RuntimeError, match="x=31"):
             verify_conjecture_range(1, 100, cache=OrbitCache(tmp_path / "c.jsonl"))
         assert len(OrbitCache(tmp_path / "c.jsonl")) == 0
@@ -479,7 +479,7 @@ class TestPrefixMemoryCap:
         def no_iteration(x, max_steps):
             raise AssertionError(f"iterated {x} before refusing the sweep")
 
-        monkeypatch.setattr(verify_mod, "_segment_outcome", no_iteration)
+        monkeypatch.setattr(jump_mod, "_segment_outcome", no_iteration)
         cache = OrbitCache(tmp_path / "c.jsonl") if cached else None
         with pytest.raises(ResourceLimitError, match="physical memory"):
             verify_conjecture_range(1, 10**15, workers=2, cache=cache)
@@ -541,7 +541,7 @@ def per_element_prefixes(his, max_steps):
         while pending[-1] < x:
             summary = (_u0_count(1, x - 1), steps_max, exc_max, cycles[:], truncated[:])
             out[pending.pop()] = (summary, dict(holders))
-        kind, s, v, mx = verify_mod._segment_outcome(x, max_steps)
+        kind, s, v, mx = jump_mod._segment_outcome(x, max_steps)
         if kind == "drop":
             up = totals[v // 3]
             total = s + up if up >= 0 else -1
@@ -597,7 +597,20 @@ class TestStridedPrefixPass:
                rng.randint(4097, top), rng.randint(4097, top)}
         want = per_element_prefixes(his, max_steps)
         for hi in sorted(his):
-            assert prefix_mod._sweep_prefix(hi, max_steps) == want[hi], hi
+            assert prefix_mod._sweep_prefix(hi, max_steps)[:2] == want[hi], hi
+
+    @pytest.mark.parametrize("max_steps", [1, 5, 26, 10_000])
+    def test_totals_are_exact_steps_to_one(self, max_steps):
+        # The census counts these totals: each defined one is x's exact steps
+        # to 1, every x that reaches 1 within max_steps steps has one, and
+        # the slot past hi holds none.
+        hi = 40_000  # its slot 13333 is 40001's
+        totals = prefix_mod._sweep_prefix(hi, max_steps)[2]
+        assert len(totals) == hi // 3 + 1 and totals[-1] < 0
+        for x in u0_range(1, hi):
+            steps = core.orbit(x).steps_to_one
+            total = totals[x // 3]
+            assert total == steps if total >= 0 else steps > max_steps, x
 
     def test_strided_members_that_may_hold_path_records_are_iterated(self, monkeypatch):
         # A seam whose segment peaks are the starts themselves, except on the
@@ -605,14 +618,14 @@ class TestStridedPrefixPass:
         # (mod 36): there every member beats every earlier peak, so each is a
         # path record, which the pass finds only by iterating the parts whose
         # peak bound beats the running peak.
-        real = verify_mod._segment_outcome
+        real = jump_mod._segment_outcome
 
         def flat_peaks(x, max_steps):
             kind, s, v, mx = real(x, max_steps)
             return (kind, s, v, mx if x % 16 == 3 and x % 36 not in (11, 35) else x)
 
-        monkeypatch.setattr(verify_mod, "_segment_outcome", flat_peaks)
-        got = prefix_mod._sweep_prefix(20_000, 10_000)
+        monkeypatch.setattr(jump_mod, "_segment_outcome", flat_peaks)
+        got = prefix_mod._sweep_prefix(20_000, 10_000)[:2]
         assert got == per_element_prefix(20_000, 10_000)
         assert {x for x in u0_range(4096, 20_000) if x % 16 == 3 and x % 36 not in (11, 35)} \
             <= got[1].keys()
@@ -625,7 +638,7 @@ class TestStridedPrefixPass:
         # undefined, so y, given a peak that makes it a path record, is
         # held with -1, in the strided pass as in the per-element oracle.
         s, x, y, hi = 4127, 44021, 46375, 50_000
-        real = verify_mod._segment_outcome
+        real = jump_mod._segment_outcome
         assert s in jump_mod._sieve_table().survivors
         assert real(x, 10_000)[:3] == ("drop", 1, s) and real(y, 10_000)[:3] == ("drop", 5, x)
         iterated = set()
@@ -635,7 +648,7 @@ class TestStridedPrefixPass:
             kind_, steps, w, mx = real(v, max_steps)
             return (kind_, steps, w, 10**40 if v == y else mx)
 
-        monkeypatch.setattr(verify_mod, "_segment_outcome", peak_at_y)
+        monkeypatch.setattr(jump_mod, "_segment_outcome", peak_at_y)
         clean = prefix_mod._sweep_prefix(hi, 10_000)
         assert clean[1][y] >= 0
         assert s in iterated and y in iterated and x not in iterated
@@ -646,8 +659,8 @@ class TestStridedPrefixPass:
             peak = real(s, max_steps)[3]
             return (kind, max_steps, 0, peak) if kind == "truncated" else (kind, 4, s, peak)
 
-        monkeypatch.setattr(verify_mod, "_segment_outcome", finding_at_s)
-        got = prefix_mod._sweep_prefix(hi, 10_000)
+        monkeypatch.setattr(jump_mod, "_segment_outcome", finding_at_s)
+        got = prefix_mod._sweep_prefix(hi, 10_000)[:2]
         assert got == per_element_prefix(hi, 10_000)
         assert got[1][y] == -1
         assert got[0][3 if kind == "cycle" else 4] == [s]
@@ -698,7 +711,7 @@ def per_element_report(lo, hi, max_steps):
     steps = exc = count = 0
     cycles, truncated = [], []
     for x in u0_range(lo, hi):
-        kind, s, _, mx = verify_mod._segment_outcome(x, max_steps)
+        kind, s, _, mx = jump_mod._segment_outcome(x, max_steps)
         count += 1
         exc = max(exc, mx)
         if kind == "drop":
@@ -876,8 +889,8 @@ class TestJumpKernel:
     def test_trap(self, max_steps):
         x = self.TRAP
         assert x % verify_mod._SIEVE_MOD in verify_mod._sieve_table().survivors
-        assert verify_mod._segment_outcome(x, 10_000)[:2] == ("drop", 21)
-        kind, s, _, mx = verify_mod._segment_outcome(x, max_steps)
+        assert jump_mod._segment_outcome(x, 10_000)[:2] == ("drop", 21)
+        kind, s, _, mx = jump_mod._segment_outcome(x, max_steps)
         for peak in (0, x, 10**15, 2**200):
             assert jump_mod._survivor_outcome(x, max_steps, peak) == (kind, s, max(peak, mx))
         # Earlier survivors of the window raise the peak, so x's blocks jump.
@@ -891,7 +904,7 @@ class TestJumpKernel:
         lo, hi = 8_823_613_244_095, 8_823_613_246_095
         assert lo % verify_mod._SIEVE_MOD in verify_mod._sieve_table().survivors
         want = per_element_report(lo, hi, 10_000)
-        assert want.max_excursion_observed == verify_mod._segment_outcome(lo, 10_000)[3]
+        assert want.max_excursion_observed == jump_mod._segment_outcome(lo, 10_000)[3]
         assert want.max_excursion_observed > 1_000 * lo
         assert verify_conjecture_range(lo, hi) == want
 
@@ -901,7 +914,7 @@ class TestJumpKernel:
             x = rng.choice([rng.randrange(2, 10**6), rng.randrange(10**12, 10**13),
                             rng.randrange(2**64, 2**66)]) | 1
             max_steps = rng.choice([rng.randrange(1, 40), 10_000])
-            kind, s, _, mx = verify_mod._segment_outcome(x, max_steps)
+            kind, s, _, mx = jump_mod._segment_outcome(x, max_steps)
             peak = rng.choice([0, x, mx - 1, mx, rng.randrange(x, 1_000 * x), 2**300])
             got = jump_mod._survivor_outcome(x, max_steps, peak)
             assert got == (kind, s, max(peak, mx)), (x, max_steps, peak)

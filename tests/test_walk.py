@@ -14,7 +14,6 @@ from collatzq import (
     class_n,
     u0_range,
 )
-from collatzq import bookkeeping as bookkeeping_mod
 from collatzq import quotient as quotient_mod
 
 small_u0 = st.tuples(st.integers(min_value=0, max_value=350), st.sampled_from([1, 5])).map(
@@ -66,8 +65,8 @@ class TestWalkMatchesScan:
     @example(0, 5_000)
     @example(12, 1)
     @settings(max_examples=60, deadline=None)
-    def test_census(self, n_max, bound):
-        first_hit = bookkeeping_mod._census_scan(n_max, bound)
+    def test_census(self, per_element_census, n_max, bound):
+        first_hit = per_element_census(n_max, bound)
         assert census_class_of_one(n_max, bound) == list(enumerate(accumulate(first_hit)))
         assert walk_or_none(walk_census, n_max, bound) in (None, first_hit)
 
@@ -94,7 +93,7 @@ class TestBudget:
                 for n in range(n_max + 1)]
         assert census_class_of_one(n_max, bound) == want
 
-    def test_deep_census_stops_walking_at_its_budget(self):
+    def test_deep_census_stops_walking_at_its_budget(self, per_element_census):
         # At level 30_000 one shift chain from 1 holds about 8_700 nodes of
         # up to 17_500 bits.  The walk must raise before it builds that
         # chain, so the census holds little beyond its own answer.
@@ -105,7 +104,7 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak - held < 1 << 20
-        first_hit = bookkeeping_mod._census_scan(30_000, 100)
+        first_hit = per_element_census(30_000, 100)
         assert got == list(enumerate(accumulate(first_hit)))
 
     def test_deep_class_bfs_over_budget_raises(self):
@@ -131,6 +130,27 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+
+# Bounds around the sweep's head (4096), its first block edge (4608) and 2**15,
+# 2**16; levels from the walk's answers to well past its budget.
+GRID_BOUNDS = [1, 2, 100, 4_095, 4_096, 4_097, 4_607, 4_608, 4_609, 2**15 - 1, 2**15 + 1,
+               2**16 + 1]
+GRID_LEVELS = [0, 1, 25, 60, 150]
+
+
+class TestCensusFallback:
+    def test_census_matches_per_element_census_on_a_grid(self, per_element_census):
+        # Past the walk's budget the census counts the totals of one sweep of
+        # the window; enough pairs land there that the grid tests both routes.
+        over_budget = 0
+        for bound in GRID_BOUNDS:
+            for n_max in GRID_LEVELS:
+                first_hit = per_element_census(n_max, bound)
+                assert census_class_of_one(n_max, bound) == list(
+                    enumerate(accumulate(first_hit))), (n_max, bound)
+                over_budget += walk_or_none(walk_census, n_max, bound) is None
+        assert over_budget >= 30
 
 
 class TestPruningBound:
