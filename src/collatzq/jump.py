@@ -1,5 +1,5 @@
-"""The segment of both sweeps, step by step, and the parity tables of a
-sweep above 1: the residue sieve and the jump kernel.
+"""The parity tables of a sweep above 1, the residue sieve and the jump
+kernel, and the step-by-step segment of a sweep from 1 that both reproduce.
 
 Let T1(n) be (3n+1)/2 for odd n and n/2 for even n, and c_j(b) the odd
 steps among the first j from b.  For n = a*2**j + b and i <= j,
