@@ -7,12 +7,11 @@ Every invocation emits exactly one output envelope to stdout:
 
 Serialization convention: values that live in the number space (elements,
 bounds, excursions, minima) are decimal strings, so arbitrary precision
-survives JSON; structural quantities (levels, step counts, sizes, worker
-counts, seeds) are plain integers.  Handlers return plain Python values, and
-the rule is applied once, by ``_encode``, to the keys named in
-``_NUMBER_KEYS``.  Inside a lemma failure payload the shift count ``k``, the
-level ``n``, ``merge_time``, ``image_merge_time`` and ``nu2`` stay integers
-(``_STRUCTURAL_KEYS``); every other int there is a decimal string.
+survives JSON; structural quantities (levels, step counts, sizes, seeds) are
+plain integers.  Handlers return plain Python values; ``_json_chunks``
+applies the rule to the keys in ``_NUMBER_KEYS`` as it writes them.  In a
+lemma failure payload ``k``, ``n``, ``merge_time``, ``image_merge_time`` and
+``nu2`` stay integers (``_STRUCTURAL_KEYS``); every other int is a string.
 
 Each leaf parser names its handler, so the parser is the one list of
 commands.  A handler returns only ``(result, exit_code)``.  ``main`` echoes
@@ -204,7 +203,7 @@ def _build_parser() -> _Parser:
 # --------------------------------------------------------------------------
 # command handlers, each named by its leaf parser: each returns (result,
 # exit_code) as plain Python values; main echoes the parsed options as the
-# parameters and encodes both (see _ECHO_SKIP and _NUMBER_KEYS)
+# parameters and writes both (see _ECHO_SKIP and _NUMBER_KEYS)
 
 def _cmd_orbit(ns, cache):
     from . import core
@@ -416,20 +415,7 @@ _NUMBER_KEYS = frozenset({
 # Structural keys under a number key (a lemma failure payload): the
 # inherited rule stops there.
 _STRUCTURAL_KEYS = frozenset({"k", "n", "merge_time", "image_merge_time", "nu2"})
-
-
-def _encode(value, number=False):
-    if isinstance(value, dict):
-        return {k: _encode(v, (number or k in _NUMBER_KEYS) and k not in _STRUCTURAL_KEYS)
-                for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        if number and all(type(v) is int for v in value):
-            return [str(v) for v in value]
-        return [_encode(v, number) for v in value]
-    if number and isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    return value
-
+_quote = json.encoder.encode_basestring_ascii
 
 # The parsed options that are not echoed under "parameters": the command's
 # name and handler, the output format and the cache options.
@@ -450,32 +436,51 @@ def _resolve_cache(ns) -> OrbitCache | None:
     return OrbitCache(path)
 
 
-def _emit_json(env) -> str:
-    # dump writes chunks as they come; dumps with indent first lists them all.
-    buf = io.StringIO()
-    json.dump(env, buf, indent=2)
-    buf.write("\n")
-    return buf.getvalue()
-
-
-def _csv_scalar(value) -> str:
-    if isinstance(value, str):
-        return value
-    return json.dumps(value)
+def _json_chunks(value, number=False, indent="\n"):
+    # Yields the text of json.dumps(value, indent=2), applying the number rule
+    # as the walk reaches each value.  A list yields a string per element (per
+    # 1024 ints under a number key); an int dict value needs no generator.
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for k, v in value.items():
+            num = (number or k in _NUMBER_KEYS) and k not in _STRUCTURAL_KEYS
+            yield f"{sep}{_quote(str(k))}: "
+            yield from ((f'"{v}"' if num else repr(v),) if type(v) is int
+                        else _json_chunks(v, num, inner))
+            sep = "," + inner
+        yield indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        head, sep, tail = "[" + inner, "," + inner, indent + "]"
+        parts = ("".join(_json_chunks(v, number, inner)) for v in value)
+        if number and all(type(v) is int for v in value):
+            head, sep, tail = f'[{inner}"', f'",{inner}"', f'"{indent}]'
+            parts = (sep.join(map(str, value[i:i + 1024])) for i in range(0, len(value), 1024))
+        for part in parts:
+            yield head + part
+            head = sep
+        yield tail
+    elif isinstance(value, str):
+        yield _quote(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        yield f'"{value}"' if number else repr(value)
+    else:
+        yield json.dumps(value)  # bool, None, float, {} and []; anything else raises
 
 
 def _flatten(value, prefix):
-    # Yields the (key, value) rows one at a time.  An empty list or dict is
-    # a row of its own ("[]" or "{}"), so a reader can tell an empty
-    # container from a missing key.
+    # Yields the (key, value) rows one at a time.  An empty list or dict is a
+    # row of its own ("[]" or "{}"), so a reader can tell an empty container
+    # from a missing key.  An int is its digits, in the number space or not.
     if isinstance(value, dict) and value:
         for k, v in value.items():
             yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(value, list) and value:
+    elif isinstance(value, (list, tuple)) and value:
         for i, v in enumerate(value):
             yield from _flatten(v, f"{prefix}.{i}")
     else:
-        yield (prefix, _csv_scalar(value))
+        yield (prefix, value if isinstance(value, str)
+               else str(value) if type(value) is int else json.dumps(value))
 
 
 def _emit_csv(env) -> str:
@@ -504,17 +509,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"collatzq: created new cache file at {cache.path}", file=sys.stderr)
         params = {k: v for k, v in vars(ns).items()
                   if v is not None and k not in _ECHO_SKIP}
-        # Rebinding frees the plain values before the envelope is serialized.
-        params, result = _encode(params), _encode(result)
-        env = {
-            "command": ns.command,
-            "parameters": params,
-            "result": result,
-            "timing": round(time.perf_counter() - start, 6),
-        }
+        env = {"command": ns.command, "parameters": params, "result": result,
+               "timing": round(time.perf_counter() - start, 6)}
         if cache is not None:
             env["cache_stats"] = {"hits": cache.hits, "misses": cache.misses}
-        text = _emit_csv(env) if ns.csv else _emit_json(env)
+        # Nothing is written until the whole envelope has been walked.
+        chunks = [_emit_csv(env)] if ns.csv else [*_json_chunks(env), "\n"]
     except (DomainError, ResourceLimitError) as exc:
         print(f"collatzq: error: {exc}", file=sys.stderr)
         return 2
@@ -529,5 +529,5 @@ def main(argv: list[str] | None = None) -> int:
         # A defect, not a usage error: one line and an exit code of its own.
         print(f"collatzq: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    sys.stdout.write(text)
+    sys.stdout.writelines(chunks)
     return code

@@ -109,3 +109,44 @@ def per_element_census():
         return first_hit
 
     return _first_hit
+
+
+@pytest.fixture(scope="session")
+def reference_envelope():
+    """envelope(value): (text, rows), the JSON text and the CSV rows that the
+    envelope writer must produce for value, built by first copying value with
+    the number rule applied (every int under a key of cli._NUMBER_KEYS, at
+    any depth, becomes a decimal string unless a key of cli._STRUCTURAL_KEYS
+    stops the rule) and then serializing the copy with json.dumps and a plain
+    flatten: the oracle for cli._json_chunks and cli._flatten."""
+    import json
+
+    from collatzq.cli import _NUMBER_KEYS, _STRUCTURAL_KEYS
+
+    def _encode(value, number=False):
+        if isinstance(value, dict):
+            return {k: _encode(v, (number or k in _NUMBER_KEYS) and k not in _STRUCTURAL_KEYS)
+                    for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            if number and all(type(v) is int for v in value):
+                return [str(v) for v in value]
+            return [_encode(v, number) for v in value]
+        if number and isinstance(value, int) and not isinstance(value, bool):
+            return str(value)
+        return value
+
+    def _rows(value, prefix):
+        if isinstance(value, dict) and value:
+            for k, v in value.items():
+                yield from _rows(v, f"{prefix}.{k}" if prefix else str(k))
+        elif isinstance(value, list) and value:
+            for i, v in enumerate(value):
+                yield from _rows(v, f"{prefix}.{i}")
+        else:
+            yield (prefix, value if isinstance(value, str) else json.dumps(value))
+
+    def _envelope(value):
+        encoded = _encode(value)
+        return json.dumps(encoded, indent=2) + "\n", list(_rows(encoded, ""))
+
+    return _envelope

@@ -9,6 +9,8 @@ import sys
 import sysconfig
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collatzq import LemmaCheckResult, OrbitCache, SufficientSetReport
 from collatzq import cli as cli_mod
@@ -145,22 +147,23 @@ class TestEnvelope:
             _, out, _ = run_cli(capsys, *argv)
             assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
-    def test_json_text_is_not_built_twice(self):
-        # A census envelope of 10^5 rows: dumps with indent would hold a list
-        # of every chunk beside the text, about 9 times the text.
+    def test_json_text_is_not_built_twice(self, reference_envelope):
+        # A census envelope of 10^5 rows: the writer's chunks, one per row,
+        # are all it holds; json.dumps with indent would also hold a list of
+        # every chunk beside the text, about 9 times the text.
         import tracemalloc
 
         rows = [{"level": n, "count": 3 * n} for n in range(10**5)]
         env = {"command": "census", "parameters": {"n_max": 10**5 - 1, "bound": 100},
                "result": {"counts": rows}, "timing": 0.5}
-        want = json.dumps(env, indent=2) + "\n"
+        want = reference_envelope(env)[0]
         tracemalloc.start()
         try:
-            got = cli_mod._emit_json(env)
+            chunks = list(cli_mod._json_chunks(env))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == want
+        assert "".join(chunks) + "\n" == want
         assert peak < 3 * len(want)
 
     def test_csv_rows_are_streamed(self):
@@ -214,17 +217,138 @@ class TestEnvelope:
             {"x": 7, "z": 9, "merge_time": 4, "image_merge_time": 5},
             {"x": 5, "tau": 13, "nu2": 6},
         ]
-        assert cli_mod._encode({"failures": failures}) == {"failures": [
+        want = [
             {"x": "1", "k": 1, "step": "1"},
             {"x": "7", "n": 3, "witness": "241"},
             {"x": "7", "z": "9", "merge_time": 4, "image_merge_time": 5},
             {"x": "5", "tau": "13", "nu2": 6},
-        ]}
+        ]
+        text = "".join(cli_mod._json_chunks({"failures": failures}))
+        assert json.loads(text) == {"failures": want}
+        # CSV writes a number and a structural int as the same digits.
+        assert list(cli_mod._flatten({"failures": failures}, "")) == [
+            (f"failures.{i}.{k}", str(v)) for i, row in enumerate(want) for k, v in row.items()
+        ]
 
     def test_stdout_has_exactly_one_envelope(self, capsys):
         _, out, _ = run_cli(capsys, "orbit", "17")
         assert out.count('"command"') == 1
         assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+# Keys under which the number rule starts, stops, or is inherited, and keys
+# that json must escape; int keys are written as their quoted digits.
+_KEYS = st.sampled_from([
+    "members", "x", "value", "failures", "bound",
+    "k", "n", "nu2", "merge_time",
+    "level", "count", "checks",
+    'q"uote', "back\\slash", "ctl\x00\x1f\t\n", "\u00e9 \u2603 \U0001d11e",
+]) | st.integers(-3, 2**70)
+_SCALARS = (st.integers() | st.integers(-2**70, 2**70) | st.booleans() | st.none()
+            | st.floats() | st.text())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+class _Sink:
+    """A stdout that keeps only the length of what was written."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+class TestWriter:
+    """cli._json_chunks and cli._flatten against the reference_envelope
+    fixture, which copies the value with the number rule applied first."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_VALUES)
+    @example({"failures": [{"x": 1, "k": 1, "tau": (3, True, None)}], 7: {}, "members": ()})
+    @example({"members": [0, -1, 2**64 + 1, False], "value": [[], {}, ()], "x": 1.5})
+    @example({"checks": [{"failures": [{"n": 3, "witness": 241, "pair": [2**70, -2]}]}]})
+    def test_writer_equals_reference(self, reference_envelope, value):
+        text, rows = reference_envelope(value)
+        assert "".join(cli_mod._json_chunks(value)) + "\n" == text
+        assert list(cli_mod._flatten(value, "")) == rows
+
+    @pytest.mark.parametrize("size", [1023, 1024, 1025, 3000])
+    def test_long_int_lists_cross_the_slice(self, reference_envelope, size):
+        ints = list(range(-5, size - 5))
+        ints[7] = 2**64 + 1
+        value = {"members": ints, "cells": [{"base": 1, "members": tuple(ints)}],
+                 "cell_sizes": ints, "mixed": {"members": ints + [True]}}
+        text, rows = reference_envelope(value)
+        assert "".join(cli_mod._json_chunks(value)) + "\n" == text
+        assert list(cli_mod._flatten(value, "")) == rows
+
+    @pytest.mark.parametrize("argv", [
+        ["class", "1", "--n", "20", "--bound", "100000", "--method", "bfs"],
+        ["partition", "--bound", "20000", "--n", "3"],
+    ], ids=["class-bfs", "partition"])
+    def test_cli_stdout_equals_reference(self, capsys, reference_envelope, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        ns = cli_mod._build_parser().parse_args(argv)
+        result, _ = ns.run(ns, None)
+        params = {k: v for k, v in vars(ns).items()
+                  if v is not None and k not in cli_mod._ECHO_SKIP}
+        env = {"command": ns.command, "parameters": params, "result": result,
+               "timing": json.loads(out)["timing"]}
+        assert code == 0
+        assert out == reference_envelope(env)[0]
+        # class-bfs's members cross the writer's 1024-int slices; partition
+        # writes thousands of small cells, one chunk each.
+        assert len(result["members"] if "members" in result else result["cells"]) > 2048
+
+    def test_writer_holds_about_its_text(self, monkeypatch):
+        # Beyond what the handler itself peaks at, main holds the chunks of
+        # the text and little more.  Copying the values with the number rule
+        # and then running json.dump into a buffer held about 7 times the text.
+        import tracemalloc
+
+        ns = argparse.Namespace(bound=20_000, n=3)
+        cli_mod._cmd_partition(ns, None)  # imports the handler's modules first
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli_mod._cmd_partition(ns, None)
+            handler = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            code = main(["partition", "--bound", "20000", "--n", "3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 400_000
+        assert peak - handler <= 1.5 * sink.written
+
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_an_error_in_the_writer_prints_nothing(self, capsys, monkeypatch, fmt):
+        # The value that cannot be written comes after thousands of rows that
+        # can, so stdout stays empty only if nothing is written before the
+        # walk has finished.
+        def unwritable(ns, cache):
+            return {"members": list(range(3000)), "rows": [{"level": 1}, object()]}, 0
+
+        monkeypatch.setattr(cli_mod, "_cmd_tstar", unwritable)
+        code, out, err = run_cli(capsys, "tstar", "7", fmt)
+        assert (code, out) == (4, "")
+        assert err == ("collatzq: internal error: TypeError: "
+                       "Object of type object is not JSON serializable\n")
 
 
 class TestExitCodes:
