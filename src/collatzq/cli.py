@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import time
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import CacheError, DomainError, ResourceLimitError
@@ -279,11 +279,7 @@ def _cmd_delta(ns, cache):
         if ns.max_n is None:
             ns.max_n = 10
         seq = quotient.delta_sequence(ns.x, ns.max_n)
-        result = {
-            "values": seq.values,
-            "stabilization_index": seq.stabilization_index,
-        }
-        return result, 0
+        return {"values": seq.values, "stabilization_index": seq.stabilization_index}, 0
     if ns.max_n is not None:
         raise DomainError("--max-n applies only with --sequence")
     if ns.n is None:
@@ -483,12 +479,15 @@ def _flatten(value, prefix):
                else str(value) if type(value) is int else json.dumps(value))
 
 
-def _emit_csv(env) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(_flatten(env, ""))
-    return buf.getvalue()
+def _csv_chunks(env):
+    # Yields the CSV text, one string per 1024 rows: csv.writer writes each
+    # row to a list (a Namespace is its file), which is joined and emptied.
+    rows, flat = ["key,value\n"], _flatten(env, "")
+    write = csv.writer(argparse.Namespace(write=rows.append), lineterminator="\n").writerows
+    while rows:
+        yield "".join(rows)
+        rows.clear()
+        write(islice(flat, 1024))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -514,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         if cache is not None:
             env["cache_stats"] = {"hits": cache.hits, "misses": cache.misses}
         # Nothing is written until the whole envelope has been walked.
-        chunks = [_emit_csv(env)] if ns.csv else [*_json_chunks(env), "\n"]
+        chunks = [*_csv_chunks(env)] if ns.csv else [*_json_chunks(env), "\n"]
     except (DomainError, ResourceLimitError) as exc:
         print(f"collatzq: error: {exc}", file=sys.stderr)
         return 2

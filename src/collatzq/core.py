@@ -143,8 +143,11 @@ def _meet(z: int, targets: list[int], n: int) -> int | None:
 
 
 def _iterate(v: int, n: int) -> int:
-    # n unvalidated accelerated steps. Callers guarantee odd v >= 1.
-    return _trajectory(v, n)[-1]
+    # n unvalidated accelerated steps, holding one value; stops at 1 as
+    # T(1) = 1. Callers guarantee odd v >= 1.
+    while n > 0 and v != 1:
+        v, n = _step(v), n - 1
+    return v
 
 
 def collatz_step(x: int) -> int:

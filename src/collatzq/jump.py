@@ -1,5 +1,5 @@
-"""The parity tables of a sweep above 1, the residue sieve and the jump
-kernel, and the step-by-step segment of a sweep from 1 that both reproduce.
+"""The residue sieve of a sweep above 1, and the jump kernel that both
+sweeps iterate their elements through.
 
 Let T1(n) be (3n+1)/2 for odd n and n/2 for even n, and c_j(b) the odd
 steps among the first j from b.  For n = a*2**j + b and i <= j,
@@ -12,7 +12,7 @@ accelerated map T.  One tree of these entries gives both tables:
   3**c_j(b) < 2**j, and every member above 1 drops below itself at T step
   c_j(b); the residues still undecided at j = 16 survive;
 * the k = 8 jump table, the k-step lookup of Oliveira e Silva (2010) and
-  Barina (2021), from which a survivor skips blocks of 8 T1 steps.
+  Barina (2021), from which the kernel skips blocks of 8 T1 steps.
 
 The tables live apart from ``verify`` so that compiling ``verify`` from
 source, the memory peak of a short sweep, does not grow with them, and the
@@ -90,44 +90,24 @@ def _sieve_table() -> _SieveTable:
     return _SieveTable(tuple(sorted(survivors)), tuple(classes))
 
 
-def _segment_outcome(x: int, max_steps: int) -> tuple[str, int, int, int]:
-    """Iterate from x until the trajectory drops strictly below x.
+def _segment_outcome(x: int, max_steps: int, peak: int) -> tuple[str, int, int, int]:
+    """Iterate the accelerated map T from x until it drops strictly below x.
 
-    Returns (kind, steps, value, seg_max):
-      * ("drop", s, v, m): dropped to v < x after s steps, peak m.
-        x == 1 is terminal by convention: ("drop", 0, 0, 1).
-      * ("cycle", s, x, m): returned to x itself -- a nontrivial cycle
-        (every cycle is caught this way at its minimal element).
-      * ("truncated", max_steps, 0, m): budget exhausted while still >= x.
-    """
-    if x == 1:
-        return ("drop", 0, 0, 1)
-    v, mx, s = x, x, 0
-    while s < max_steps:
-        t = 3 * v + 1
-        v = t >> ((t & -t).bit_length() - 1)
-        s += 1
-        if v < x:
-            return ("drop", s, v, mx)
-        if v > mx:
-            mx = v
-        if v == x:
-            return ("cycle", s, v, mx)
-    return ("truncated", s, 0, mx)
-
-
-def _survivor_outcome(x: int, max_steps: int, peak: int) -> tuple[str, int, int]:
-    """_segment_outcome(x, max_steps) for a chunk whose running peak is peak.
-
-    Returns (kind, steps, max(peak, seg_max)).  A block of _JUMP_BITS T1
-    steps is jumped when no value in it can be at or below x or above the
-    peak, and it fits the budget; every other step is taken exactly.
+    Returns (kind, steps, value, max(peak, seg_max)), seg_max the largest
+    value from x on: ("drop", s, v, m) for a drop to v < x after s steps,
+    ("cycle", s, x, m) for a return to x, the least element of a cycle
+    (1 -> 1 among them), and ("truncated", max_steps, 0, m) when the budget
+    runs out.  A block of _JUMP_BITS T1 steps is jumped only when each T1
+    value in it is above x and at most the running peak, and the block fits
+    the budget; every other step is taken exactly.  So a drop lands on its
+    exact value and step, no return to x is jumped over, a truncation stops
+    at exactly max_steps, and no value jumped over exceeds the running peak:
+    a peak returned above the one passed in is the exact segment peak.
     """
     table, k, mask = _jump_table(), _JUMP_BITS, (1 << _JUMP_BITS) - 1
-    v = x
+    v, s = x, 0
     if peak < x:
         peak = x
-    s = 0
     while s < max_steps:
         a = v >> k
         mul, add, c, lo_mul, hi_mul, lo_add, hi_add = table[v & mask]
@@ -140,9 +120,9 @@ def _survivor_outcome(x: int, max_steps: int, peak: int) -> tuple[str, int, int]
             s += 1
         v = t >> ((t & -t).bit_length() - 1)
         if v < x:
-            return ("drop", s, peak)
+            return ("drop", s, v, peak)
         if v > peak:
             peak = v
         if v == x:
-            return ("cycle", s, peak)
-    return ("truncated", s, peak)
+            return ("cycle", s, v, peak)
+    return ("truncated", s, 0, peak)

@@ -8,8 +8,8 @@ negative value where a cycle or a truncation upstream leaves them undefined.
 Each total comes from a smaller element's, so the pass runs upwards: a head
 [1, 4096) element by element, then blocks [B, B + min(B // 8, 2**15)).  A
 block fills most of its totals with strided array slices, by two rules, and
-iterates the rest (about 18 % of its elements) one by one, in ascending
-order, through ``jump._segment_outcome``.
+iterates the rest (about 18 % of its elements) in ascending order through
+``jump._segment_outcome``, the same kernel as a sweep above 1.
 
 * **Strided parts.**  On a stopping-time class x = r (mod 2**j) of
   ``jump._sieve_table`` (Terras 1976), write x = a * 2**j + r.  Then
@@ -130,24 +130,24 @@ def _fill(totals: array, view: memoryview, parts: list, lo: int, end: int,
 
 def _sweep_prefix(hi: int, max_steps: int) -> tuple:
     # ((count, steps_max, exc_max, cycles, truncated), holders, totals) of
-    # [1, hi].  1 drops to 0, whose slot is 1's own and starts at 0.  holders
-    # maps each record holder to its total, -1 where it is undefined.
+    # [1, hi].  1, the kernel's cycle 1 -> 1, is seeded with 0 steps.
+    # holders maps each record holder to its total, -1 where it is undefined.
     _require_fits(_prefix_bytes(hi), f"a sweep of [1, {hi}]")
     segment = jump._segment_outcome
     parts = _parts(max_steps)
     totals = array("i", [_UNDEFINED]) * (hi // 3 + 1)
     totals[0] = 0
     view = memoryview(totals)
-    holders: dict[int, int] = {}
-    steps_max = exc_max = 0
+    holders: dict[int, int] = {1: 0}
+    steps_max, exc_max = 0, 1
     cycles: list[int] = []
     truncated: list[int] = []
     lo, end = 1, min(hi + 1, _HEAD)
     while lo <= hi:
-        xs = (u0_range(1, end - 1) if lo == 1
+        xs = (u0_range(5, end - 1) if lo == 1
               else _fill(totals, view, parts, lo, end, exc_max))
         for x in xs:
-            kind, s, v, mx = segment(x, max_steps)
+            kind, s, v, mx = segment(x, max_steps, exc_max)
             if kind != "drop":
                 (cycles if kind == "cycle" else truncated).append(x)
                 total = _UNDEFINED

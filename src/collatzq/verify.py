@@ -16,15 +16,14 @@ Two layers:
   of processing order, so any split of the window produces the identical
   report.  Every sweep runs in the calling process.  Above 1 it is sieved by
   Terras's (1976) stopping-time classes mod 2**j, j <= 16, so each class is
-  settled once per window and only the survivors are iterated, 8 parity
-  steps at a time where no value skipped can decide the report (``jump``
-  builds both tables).  From 1 one ascending pass (``prefix``, loaded only
-  then) composes exact steps to 1: most totals are copied from a smaller
-  element's with strided slices, since a stopping-time class fixes a drop
-  target affine in x, and about 18 % of the elements iterate their segment
-  here.  An orbit cache takes no part in the sweep: afterwards it receives
-  the record holders, each recomputed from its full orbit, and any record
-  it already holds for them must agree.
+  settled once per window and only the survivors are iterated.  From 1 one
+  ascending pass (``prefix``, loaded only then) composes exact steps to 1:
+  most totals are copied from a smaller element's with strided slices, since
+  a stopping-time class fixes a drop target affine in x.  Both sweeps iterate
+  through one kernel, ``jump._segment_outcome``, 8 parity steps at a time
+  where no value skipped can decide the report.  An orbit cache takes no
+  part in the sweep: afterwards it receives the record holders, each
+  recomputed from its full orbit, and any record it already holds must agree.
 
 Findings -- a cycle or a truncated element -- are first-class results,
 reported loudly in the output record, never folded into other outcomes.
@@ -40,7 +39,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import core, quotient
 from .core import _require_at_least, _u0_count, u0_range
 from .errors import DomainError
-from .jump import _SIEVE_MOD, _sieve_table, _survivor_outcome
+from .jump import _SIEVE_MOD, _sieve_table
+from . import jump
 
 if TYPE_CHECKING:
     from .cache import OrbitCache
@@ -437,8 +437,9 @@ def _top_member(r: int, period: int, lo: int, hi: int) -> int:
 def _sieve_window(lo: int, hi: int, max_steps: int) -> tuple:
     # (count, steps_max, exc_max, cycles, truncated): the aggregate of
     # jump._segment_outcome over the elements of [lo, hi], lo > 1.  Only the
-    # survivors and the classes that drop beyond max_steps are iterated, by
-    # _survivor_outcome; every other class is settled whole.
+    # survivors and the classes that drop beyond max_steps are iterated, with
+    # the running peak; every other class is settled whole.
+    segment = jump._segment_outcome
     survivors, classes = _sieve_table()
     mod = _SIEVE_MOD
     residues = [*survivors, *chain.from_iterable(
@@ -448,7 +449,7 @@ def _sieve_window(lo: int, hi: int, max_steps: int) -> tuple:
     truncated: list[int] = []
     for x in (base + r for base in range(lo - lo % mod, hi + 1, mod) for r in residues):
         if lo <= x <= hi and x % 3:
-            kind, s, mx = _survivor_outcome(x, max_steps, exc_max)
+            kind, s, _, mx = segment(x, max_steps, exc_max)
             if kind == "drop":
                 steps_max = max(steps_max, s)
             elif kind == "cycle":
@@ -461,7 +462,7 @@ def _sieve_window(lo: int, hi: int, max_steps: int) -> tuple:
         if s <= max_steps and (x := _top_member(r, period, lo, hi)):
             steps_max = max(steps_max, s)
             if hi_mul * (x // period) + hi_add > exc_max:
-                exc_max = _survivor_outcome(x, max_steps, exc_max)[2]
+                exc_max = segment(x, max_steps, exc_max)[3]
     return (_u0_count(lo, hi), steps_max, exc_max, cycles, truncated)
 
 

@@ -1,5 +1,8 @@
 """Map algebra: worked values, domain gates, orbit outcomes."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from collatzq import (
@@ -16,6 +19,7 @@ from collatzq import (
     u0_range,
     xi,
 )
+from collatzq import core
 from collatzq.core import _orbit_impl
 
 
@@ -172,6 +176,27 @@ class TestIterate:
     def test_forward_requires_restricted_domain(self):
         with pytest.raises(DomainError):
             iterate(9, 1)
+
+    def test_forward_holds_one_value(self):
+        # 2**8001 - 1 reaches 1 in 38,358 steps.  Holding every value of the
+        # trajectory peaked at 38.2 MB traced; one value is about 1 KB.
+        tracemalloc.start()
+        try:
+            got = iterate(2**8001 - 1, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 1
+        assert peak < 2**20
+
+    def test_forward_is_the_trajectory_end(self):
+        # n below, at and past the steps to 1, where T(1) = 1 holds it.
+        rng = random.Random(8)
+        for _ in range(300):
+            v = rng.randrange(1, 10**15) | 1
+            steps = len(core._trajectory(v, 10**4)) - 1
+            for n in (0, 1, rng.randrange(steps + 1), steps, steps + rng.randrange(1, 100)):
+                assert core._iterate(v, n) == core._trajectory(v, n)[-1], (v, n)
 
 
 class TestPreimages:

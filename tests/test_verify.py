@@ -40,6 +40,28 @@ def naive_reach(x, budget):
     return (s if v == 1 else None), mx
 
 
+def stepwise_segment(x, max_steps):
+    """The segment of x one accelerated step at a time: the loop that the
+    jump kernel replaced in the sweep from 1, kept as the kernel's oracle.
+
+    (kind, steps, value, seg_max), as jump._segment_outcome(x, max_steps, 0):
+    ("drop", s, v, m) after s steps to v < x, ("cycle", s, x, m) on a return
+    to x, ("truncated", max_steps, 0, m) when the budget runs out.
+    """
+    v, mx, s = x, x, 0
+    while s < max_steps:
+        t = 3 * v + 1
+        v = t >> ((t & -t).bit_length() - 1)
+        s += 1
+        if v < x:
+            return ("drop", s, v, mx)
+        if v > mx:
+            mx = v
+        if v == x:
+            return ("cycle", s, v, mx)
+    return ("truncated", s, 0, mx)
+
+
 def usable_cores(monkeypatch, cores):
     """Report `cores` usable CPUs in the affinity mask, while cpu_count()
     reports 64; None is a platform with no affinity call whose cpu_count()
@@ -339,10 +361,10 @@ class TestRangeSweep:
     def test_synthetic_cycle_reported(self, monkeypatch):
         real = jump_mod._segment_outcome
 
-        def fake(x, max_steps):
+        def fake(x, max_steps, peak):
             if x == 25:
-                return ("cycle", 4, 25, 99)
-            return real(x, max_steps)
+                return ("cycle", 4, 25, max(peak, 99))
+            return real(x, max_steps, peak)
 
         monkeypatch.setattr(jump_mod, "_segment_outcome", fake)
         report = verify_conjecture_range(1, 100, workers=1)
@@ -430,8 +452,8 @@ class TestRangeSweepWithCache:
         # disagrees with its orbit, which the sweep recomputes before storing.
         real = jump_mod._segment_outcome
 
-        def one_step_too_many(x, max_steps):
-            kind, s, v, mx = real(x, max_steps)
+        def one_step_too_many(x, max_steps, peak):
+            kind, s, v, mx = real(x, max_steps, peak)
             return (kind, s + (x == 31), v, mx)
 
         monkeypatch.setattr(jump_mod, "_segment_outcome", one_step_too_many)
@@ -476,7 +498,7 @@ class TestRangeSweepWithCache:
 class TestPrefixMemoryCap:
     @pytest.mark.parametrize("cached", [False, True])
     def test_oversized_prefix_refused_before_iterating(self, tmp_path, monkeypatch, cached):
-        def no_iteration(x, max_steps):
+        def no_iteration(x, max_steps, peak):
             raise AssertionError(f"iterated {x} before refusing the sweep")
 
         monkeypatch.setattr(jump_mod, "_segment_outcome", no_iteration)
@@ -528,20 +550,21 @@ class TestPrefixMemoryCap:
         assert verify_conjecture_range(1, hi, cache=cache).all_reach_one
 
 
-def per_element_prefixes(his, max_steps):
-    """{hi: per_element_prefix(hi, max_steps)} for every hi in his, from one pass."""
+def per_element_prefixes(his, max_steps, segment=stepwise_segment):
+    """{hi: per_element_prefix(hi, max_steps, segment)} for every hi in his,
+    from one pass."""
     totals = array("q", [-1]) * (max(his) // 3 + 1)
     totals[0] = 0
-    holders = {}
-    steps_max = exc_max = 0
+    holders = {1: 0}
+    steps_max, exc_max = 0, 1
     cycles, truncated = [], []
     out = {}
     pending = sorted(his, reverse=True)
-    for x in u0_range(1, pending[0]):
+    for x in u0_range(5, pending[0]):
         while pending[-1] < x:
             summary = (_u0_count(1, x - 1), steps_max, exc_max, cycles[:], truncated[:])
             out[pending.pop()] = (summary, dict(holders))
-        kind, s, v, mx = jump_mod._segment_outcome(x, max_steps)
+        kind, s, v, mx = segment(x, max_steps)
         if kind == "drop":
             up = totals[v // 3]
             total = s + up if up >= 0 else -1
@@ -560,18 +583,19 @@ def per_element_prefixes(his, max_steps):
     return out
 
 
-def per_element_prefix(hi, max_steps):
+def per_element_prefix(hi, max_steps, segment=stepwise_segment):
     """((count, steps_max, exc_max, cycles, truncated), holders) of [1, hi]
-    from one ascending pass of _segment_outcome over every element: the pass
-    the strided sweep from 1 replaced, kept as its oracle.
+    from one ascending pass of segment(x, max_steps) over every element
+    above 1: the pass the strided sweep from 1 replaced, kept as its oracle.
 
-    totals[x // 3] is x's exact steps to 1, or -1 where a cycle or
-    truncation upstream leaves it undefined; a drop target is a smaller
-    restricted-domain element, so its total is known before x's.  holders
-    maps each x where steps_max rises, and each x whose segment peak beats
-    every earlier segment peak, to its total.
+    1 reaches 1 in 0 steps and holds the first record.  totals[x // 3] is
+    x's exact steps to 1, or -1 where a cycle or truncation upstream leaves
+    it undefined; a drop target is a smaller restricted-domain element, so
+    its total is known before x's.  holders maps each x where steps_max
+    rises, and each x whose segment peak beats every earlier segment peak,
+    to its total.
     """
-    return per_element_prefixes([hi], max_steps)[hi]
+    return per_element_prefixes([hi], max_steps, segment)[hi]
 
 
 def _block_edges(top):
@@ -620,13 +644,13 @@ class TestStridedPrefixPass:
         # peak bound beats the running peak.
         real = jump_mod._segment_outcome
 
-        def flat_peaks(x, max_steps):
-            kind, s, v, mx = real(x, max_steps)
-            return (kind, s, v, mx if x % 16 == 3 and x % 36 not in (11, 35) else x)
+        def flat_peaks(x, max_steps, peak):
+            kind, s, v, mx = real(x, max_steps, peak)
+            return (kind, s, v, mx if x % 16 == 3 and x % 36 not in (11, 35) else max(peak, x))
 
         monkeypatch.setattr(jump_mod, "_segment_outcome", flat_peaks)
         got = prefix_mod._sweep_prefix(20_000, 10_000)[:2]
-        assert got == per_element_prefix(20_000, 10_000)
+        assert got == per_element_prefix(20_000, 10_000, lambda z, m: flat_peaks(z, m, 0))
         assert {x for x in u0_range(4096, 20_000) if x % 16 == 3 and x % 36 not in (11, 35)} \
             <= got[1].keys()
 
@@ -640,28 +664,29 @@ class TestStridedPrefixPass:
         s, x, y, hi = 4127, 44021, 46375, 50_000
         real = jump_mod._segment_outcome
         assert s in jump_mod._sieve_table().survivors
-        assert real(x, 10_000)[:3] == ("drop", 1, s) and real(y, 10_000)[:3] == ("drop", 5, x)
+        assert stepwise_segment(x, 10_000)[:3] == ("drop", 1, s)
+        assert stepwise_segment(y, 10_000)[:3] == ("drop", 5, x)
         iterated = set()
 
-        def peak_at_y(v, max_steps):
+        def peak_at_y(v, max_steps, peak):
             iterated.add(v)
-            kind_, steps, w, mx = real(v, max_steps)
-            return (kind_, steps, w, 10**40 if v == y else mx)
+            kind_, steps, w, mx = real(v, max_steps, peak)
+            return (kind_, steps, w, max(peak, 10**40) if v == y else mx)
 
         monkeypatch.setattr(jump_mod, "_segment_outcome", peak_at_y)
         clean = prefix_mod._sweep_prefix(hi, 10_000)
         assert clean[1][y] >= 0
         assert s in iterated and y in iterated and x not in iterated
 
-        def finding_at_s(v, max_steps):
+        def finding_at_s(v, max_steps, peak):
             if v != s:
-                return peak_at_y(v, max_steps)
-            peak = real(s, max_steps)[3]
-            return (kind, max_steps, 0, peak) if kind == "truncated" else (kind, 4, s, peak)
+                return peak_at_y(v, max_steps, peak)
+            top = real(s, max_steps, peak)[3]
+            return (kind, max_steps, 0, top) if kind == "truncated" else (kind, 4, s, top)
 
         monkeypatch.setattr(jump_mod, "_segment_outcome", finding_at_s)
         got = prefix_mod._sweep_prefix(hi, 10_000)[:2]
-        assert got == per_element_prefix(hi, 10_000)
+        assert got == per_element_prefix(hi, 10_000, lambda z, m: finding_at_s(z, m, 0))
         assert got[1][y] == -1
         assert got[0][3 if kind == "cycle" else 4] == [s]
         report = verify_conjecture_range(1, hi)
@@ -706,12 +731,12 @@ class TestWorkerClamp:
         assert verify_conjecture_range(1, 40_000, workers=workers) == want
 
 
-def per_element_report(lo, hi, max_steps):
-    """The report of [lo, hi], lo > 1, aggregated from _segment_outcome on every element."""
+def per_element_report(lo, hi, max_steps, segment=stepwise_segment):
+    """The report of [lo, hi], lo > 1, aggregated from segment(x, max_steps) on every element."""
     steps = exc = count = 0
     cycles, truncated = [], []
     for x in u0_range(lo, hi):
-        kind, s, _, mx = jump_mod._segment_outcome(x, max_steps)
+        kind, s, _, mx = segment(x, max_steps)
         count += 1
         exc = max(exc, mx)
         if kind == "drop":
@@ -822,14 +847,14 @@ class TestResidueSieve:
         table = verify_mod._sieve_table()
         lo = 2**64
         x = next(lo + r for r in table.survivors if (lo + r) % 3)
-        real = verify_mod._survivor_outcome
+        real = jump_mod._segment_outcome
 
         def fake(z, max_steps, peak):
             if z == x:
-                return ("cycle", 4, max(peak, 99))
+                return ("cycle", 4, z, max(peak, 99))
             return real(z, max_steps, peak)
 
-        monkeypatch.setattr(verify_mod, "_survivor_outcome", fake)
+        monkeypatch.setattr(jump_mod, "_segment_outcome", fake)
         report = verify_conjecture_range(lo, lo + 1_000, workers=1)
         assert report.cycles_found == [x]
         assert not report.all_reach_one
@@ -841,7 +866,7 @@ def t1_by_division(n):
 
 
 class TestJumpKernel:
-    """The k = 8 jump table and the survivor kernel against _segment_outcome."""
+    """The k = 8 jump table, and the segment kernel against stepwise_segment."""
 
     # The first prototype of the kernel tested for a drop only after the
     # next step, not right after a jump's halvings: 22 steps instead of 21.
@@ -889,38 +914,41 @@ class TestJumpKernel:
     def test_trap(self, max_steps):
         x = self.TRAP
         assert x % verify_mod._SIEVE_MOD in verify_mod._sieve_table().survivors
-        assert jump_mod._segment_outcome(x, 10_000)[:2] == ("drop", 21)
-        kind, s, _, mx = jump_mod._segment_outcome(x, max_steps)
-        for peak in (0, x, 10**15, 2**200):
-            assert jump_mod._survivor_outcome(x, max_steps, peak) == (kind, s, max(peak, mx))
+        assert stepwise_segment(x, 10_000)[:2] == ("drop", 21)
+        kind, s, v, mx = stepwise_segment(x, max_steps)
+        rng = random.Random(max_steps)
+        for peak in (0, x, mx - 1, mx, 10**15, rng.randrange(x, 1_000 * x), 2**300):
+            assert jump_mod._segment_outcome(x, max_steps, peak) == (kind, s, v, max(peak, mx))
         # Earlier survivors of the window raise the peak, so x's blocks jump.
         lo, hi = x - 3_000, x + 100
         assert verify_conjecture_range(lo, hi, max_steps) == per_element_report(lo, hi, max_steps)
 
     def test_first_survivor_sets_the_peak(self):
         # The window's largest segment peak is its first element's, a
-        # survivor that starts with the chunk's peak at 0: every block it
+        # survivor that starts with the window's peak at 0: every block it
         # could jump would hide a rise of the peak.
         lo, hi = 8_823_613_244_095, 8_823_613_246_095
         assert lo % verify_mod._SIEVE_MOD in verify_mod._sieve_table().survivors
         want = per_element_report(lo, hi, 10_000)
-        assert want.max_excursion_observed == jump_mod._segment_outcome(lo, 10_000)[3]
+        assert want.max_excursion_observed == stepwise_segment(lo, 10_000)[3]
         assert want.max_excursion_observed > 1_000 * lo
         assert verify_conjecture_range(lo, hi) == want
 
     def test_matches_segment_outcome(self):
+        # All four fields, the drop value among them, for every kind of peak:
+        # 3000 draws in each region.
         rng = random.Random(13)
-        for _ in range(3_000):
-            x = rng.choice([rng.randrange(2, 10**6), rng.randrange(10**12, 10**13),
-                            rng.randrange(2**64, 2**66)]) | 1
+        for start, end in [(2, 10**6), (10**12, 10**13), (2**64, 2**66)] * 3_000:
+            x = rng.randrange(start, end) | 1
             max_steps = rng.choice([rng.randrange(1, 40), 10_000])
-            kind, s, _, mx = jump_mod._segment_outcome(x, max_steps)
+            kind, s, v, mx = stepwise_segment(x, max_steps)
             peak = rng.choice([0, x, mx - 1, mx, rng.randrange(x, 1_000 * x), 2**300])
-            got = jump_mod._survivor_outcome(x, max_steps, peak)
-            assert got == (kind, s, max(peak, mx)), (x, max_steps, peak)
+            got = jump_mod._segment_outcome(x, max_steps, peak)
+            assert got == (kind, s, v, max(peak, mx)), (x, max_steps, peak)
 
     @pytest.mark.parametrize("peak", [0, 1, 2, 10**6])
     def test_trivial_cycle_found_at_its_step(self, peak):
         # 1 -> 1 is the one cycle the kernel can meet without a fake: every
         # block from 1 holds 1 again, so the block must not be jumped.
-        assert jump_mod._survivor_outcome(1, 10_000, peak) == ("cycle", 1, max(peak, 1))
+        assert stepwise_segment(1, 10_000) == ("cycle", 1, 1, 1)
+        assert jump_mod._segment_outcome(1, 10_000, peak) == ("cycle", 1, 1, max(peak, 1))
