@@ -5,8 +5,10 @@ The map sends odd x to (3x+1) / 2^v, where v is the exact power of two in
 small, fully describable preimage sets, which makes the equivalence
 classes "same n-th image" computable on windows.  This package provides
 the map algebra (core), the class machinery (quotient), windowed summary
-structures (bookkeeping), an orbit cache (cache), and a brute-force
-verification engine (verify), all exposed through one CLI (cli).
+structures (bookkeeping), an orbit cache (cache), a lemma check suite
+against brute-force oracles (lemmas), and a range sweep engine (verify,
+with its sieve and kernel in jump and its pass from 1 in prefix), all
+exposed through one CLI (cli).
 """
 
 import importlib
@@ -40,6 +42,7 @@ _SOURCES = {
         "xi",
     ),
     "errors": ("CacheError", "DomainError", "ResourceLimitError"),
+    "lemmas": ("CHECK_IDS", "LemmaCheckResult", "run_lemma_suite"),
     "quotient": (
         "ClassWindow",
         "DeltaSequence",
@@ -54,13 +57,7 @@ _SOURCES = {
         "strict_inclusion_witness",
         "tstar_apply",
     ),
-    "verify": (
-        "CHECK_IDS",
-        "LemmaCheckResult",
-        "RangeVerificationReport",
-        "run_lemma_suite",
-        "verify_conjecture_range",
-    ),
+    "verify": ("RangeVerificationReport", "verify_conjecture_range"),
 }
 _HOME = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -372,8 +372,8 @@ def _cmd_appendix_class(ns, cache):
 
 
 def _cmd_verify_lemmas(ns, cache):
-    from . import verify
-    results = verify.run_lemma_suite(ns.bound, n_cap=ns.n_cap, sample_seed=ns.seed)
+    from . import lemmas
+    results = lemmas.run_lemma_suite(ns.bound, n_cap=ns.n_cap, sample_seed=ns.seed)
     total_failures = sum(len(r.failures) for r in results)
     checks = []
     for r in results:

@@ -16,7 +16,8 @@ accelerated map T.  One tree of these entries gives both tables:
 
 The tables live apart from ``verify`` so that compiling ``verify`` from
 source, the memory peak of a short sweep, does not grow with them, and the
-sweep from 1 (``prefix``) imports this module without the lemma suite.
+sweep from 1 (``prefix``), which a census past its walk also runs, imports
+this module without ``verify``.
 """
 
 from __future__ import annotations

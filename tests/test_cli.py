@@ -486,7 +486,7 @@ class TestExitCodes:
                 )
             ]
 
-        monkeypatch.setattr("collatzq.verify.run_lemma_suite", fake_suite)
+        monkeypatch.setattr("collatzq.lemmas.run_lemma_suite", fake_suite)
         code, env, _ = run_json(capsys, "verify", "lemmas", "--bound", "100")
         assert code == 3
         assert env["result"]["all_passed"] is False

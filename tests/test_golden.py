@@ -139,7 +139,7 @@ def run_case(argv, setup, tmpdir, patch):
     if setup in ("cold", "warm"):
         argv = [*argv, "--cache", str(Path(tmpdir) / "cache.jsonl"), "--quiet"]
     if setup == "lemma-failures":
-        patch("collatzq.verify.run_lemma_suite", _failing_suite)
+        patch("collatzq.lemmas.run_lemma_suite", _failing_suite)
     runs = 2 if setup == "warm" else 1
     for _ in range(runs):
         out, err = io.StringIO(), io.StringIO()

@@ -14,6 +14,7 @@ import pytest
 POOL = ["concurrent.futures.process", "multiprocessing"]
 SWEEP_AND_POOL = [
     "collatzq.verify",
+    "collatzq.lemmas",
     "collatzq.quotient",
     "collatzq.bookkeeping",
     "collatzq.cache",
@@ -65,22 +66,70 @@ def test_map_loads_neither_sweep_nor_pool(child_env):
 
 
 def test_verify_lemmas_loads_no_pool(child_env):
+    # The suite imports its module directly: neither a sweep nor its tables.
     out = modules_after_main(child_env, ["verify", "lemmas", "--bound", "100"])
     assert out["code"] == 0
-    assert "collatzq.verify" in out["modules"]
-    assert [m for m in POOL if m in out["modules"]] == []
+    assert "collatzq.lemmas" in out["modules"]
+    unwanted = ["collatzq.verify", "collatzq.jump", "collatzq.prefix", *POOL]
+    assert [m for m in unwanted if m in out["modules"]] == []
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["verify", "range", "--from", str(10**12 + 1), "--to", str(10**12 + 100_000)],
+     "collatzq.verify"),
+    (["verify", "range", "--from", str(2**64 + 1), "--to", str(2**64 + 100_000)],
+     "collatzq.verify"),
+    (["verify", "lemmas", "--bound", "100"], "collatzq.lemmas"),
+], ids=["range-1e12", "range-2^64", "lemmas"])
+def test_sweeps_above_one_and_lemmas_skip_the_prefix_pass(child_env, argv, runs):
+    out = modules_after_main(child_env, argv)
+    assert out["code"] == 0
+    assert runs in out["modules"]
+    assert "collatzq.prefix" not in out["modules"]
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "range", "--from", "1", "--to", "30000"],
     ["verify", "range", "--from", str(10**12 + 1), "--to", str(10**12 + 100_000)],
-    ["verify", "range", "--from", str(2**64 + 1), "--to", str(2**64 + 100_000)],
-    ["verify", "lemmas", "--bound", "100"],
-], ids=["range-1e12", "range-2^64", "lemmas"])
-def test_sweeps_above_one_and_lemmas_skip_the_prefix_pass(child_env, argv):
+], ids=["from-1", "above-1"])
+def test_verify_range_loads_neither_the_suite_nor_quotient(child_env, argv):
     out = modules_after_main(child_env, argv)
     assert out["code"] == 0
     assert "collatzq.verify" in out["modules"]
-    assert "collatzq.prefix" not in out["modules"]
+    assert [m for m in ["collatzq.lemmas", "collatzq.quotient"] if m in out["modules"]] == []
+
+
+def test_lemma_names_resolve_through_verify_lazily(child_env):
+    through_package = run_child(child_env, """
+        import json, sys
+        import collatzq
+        collatzq.run_lemma_suite
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("collatzq."))))
+    """)
+    assert "collatzq.lemmas" in through_package
+    assert "collatzq.verify" not in through_package
+    out = run_child(child_env, """
+        import json, sys
+        from collatzq import verify
+        on_import = "collatzq.lemmas" in sys.modules
+        from collatzq import lemmas
+        try:
+            verify._CHECKS
+            private = "resolved"
+        except AttributeError as exc:
+            private = str(exc)
+        print(json.dumps({
+            "on_import": on_import,
+            "same": [verify.run_lemma_suite is lemmas.run_lemma_suite,
+                     verify.LemmaCheckResult is lemmas.LemmaCheckResult,
+                     verify.CHECK_IDS is lemmas.CHECK_IDS],
+            "private": private,
+        }))
+    """)
+    assert out["on_import"] is False
+    assert out["same"] == [True, True, True]
+    # Only the suite's three public names are re-exported, never a private one.
+    assert out["private"] == "module 'collatzq.verify' has no attribute '_CHECKS'"
 
 
 def test_sweep_from_one_loads_the_prefix_pass(child_env):
@@ -176,7 +225,7 @@ def test_exports_resolve_to_their_home_objects(child_env):
                 module = next(
                     m.__name__ for m in map(importlib.import_module, [
                         "collatzq.core", "collatzq.quotient", "collatzq.bookkeeping",
-                        "collatzq.cache", "collatzq.verify"])
+                        "collatzq.cache", "collatzq.lemmas", "collatzq.verify"])
                     if name in m.__all__)
             return getattr(importlib.import_module(module), name) is obj
 

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from collatzq import bookkeeping, core, quotient, verify
+from collatzq import bookkeeping, core, lemmas, quotient, verify
 from collatzq.cli import main
 from collatzq.errors import DomainError, ResourceLimitError
 
@@ -60,7 +60,7 @@ AT_LEAST = [
          "n_max must be >= 0, got -1"),
     case("census-bound", lambda: bookkeeping.census_class_of_one(5, 0),
          "bound must be >= 1, got 0"),
-    case("lemma_suite-n_cap", lambda: verify.run_lemma_suite(100, n_cap=0),
+    case("lemma_suite-n_cap", lambda: lemmas.run_lemma_suite(100, n_cap=0),
          "n_cap must be >= 1, got 0"),
     case("range-lo", lambda: verify.verify_conjecture_range(0, 10), "lo must be >= 1, got 0"),
     case("range-max_steps", lambda: verify.verify_conjecture_range(1, 10, max_steps=0),
@@ -70,7 +70,7 @@ AT_LEAST = [
 ]
 
 HAND_WORDED = [
-    case("lemma_suite-bound", lambda: verify.run_lemma_suite(99),
+    case("lemma_suite-bound", lambda: lemmas.run_lemma_suite(99),
          "bound must be >= 100 for a meaningful suite, got 99"),
     case("range-empty", lambda: verify.verify_conjecture_range(10, 9),
          "range is empty: lo=10, hi=9"),
@@ -119,6 +119,9 @@ TOO_BIG = [
     case("range-prefix", lambda: verify.verify_conjecture_range(1, 10**15),
          "a sweep of [1, 1000000000000000] needs about 1333333333398872 bytes, "
          "more than the 1073741824 bytes of physical memory"),
+    case("lemma_suite-window", lambda: lemmas.run_lemma_suite(LEVELS),
+         "a lemma suite over [1, 18446744073709551617] needs about 2361183241434822606976 "
+         "bytes, more than the 1073741824 bytes of physical memory"),
     case("partition-window", lambda: quotient.partition_n(LEVELS, 3),
          "a partition of [1, 18446744073709551617] needs about 3935305402391371011840 bytes, "
          "more than the 1073741824 bytes of physical memory"),
@@ -192,9 +195,12 @@ MATRIX_CELLS = (LEVELS + 4) * 11  # rows -3..LEVELS, levels 0..10
      f"a sufficient-set member list of [1, {LEVELS}]", 128 * core._u0_count(1, LEVELS)),
     (["matrix", "7", "--k-max", str(LEVELS), "--bound", "10"],
      f"a matrix of {MATRIX_CELLS} cells over [1, 10]", MATRIX_CELLS * (512 + 16 * 3)),
-], ids=["partition", "suffset-members", "matrix"])
+    (["verify", "lemmas", "--bound", str(10**15)], f"a lemma suite over [1, {10**15}]",
+     128 * 10**15),
+], ids=["partition", "suffset-members", "matrix", "lemmas"])
 def test_cli_refuses_unfit_windows_in_one_line(capsys, monkeypatch, argv, what, nbytes):
-    # Each grew its member lists, or its rows, until memory ran out.
+    # Each grew its member lists, its rows or its preimage tables until memory
+    # ran out.
     monkeypatch.setattr(core, "_physical_memory", lambda: GIB)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -238,6 +244,7 @@ def estimate(call):
     (["census", "--n-max", "100000", "--bound", "100"],
      lambda: bookkeeping.census_class_of_one(100_000, 100)),
     (["partition", "--bound", "300000", "--n", "3"], lambda: quotient.partition_n(300_000, 3)),
+    (["verify", "lemmas", "--bound", "100000"], lambda: lemmas.run_lemma_suite(100_000)),
     (["suffset", "--members", "--bound", "1000000"],
      lambda: bookkeeping.sufficient_set_members(1_000_000)),
     # From k = 0, so no backward iteration is charged first.
@@ -245,8 +252,8 @@ def estimate(call):
      lambda: bookkeeping.class_matrices(7, k_min=0, k_max=5_000, bound=10)),
     (["matrix", "7", "--k-min", "0", "--k-max", "1000", "--bound", "1000"],
      lambda: bookkeeping.class_matrices(7, k_min=0, k_max=1_000, bound=1_000)),
-], ids=["delta-sequence", "census", "partition", "suffset-members", "matrix-bound-10",
-        "matrix-bound-1000"])
+], ids=["delta-sequence", "census", "partition", "lemmas", "suffset-members",
+        "matrix-bound-10", "matrix-bound-1000"])
 def test_estimate_covers_the_measured_peak(child_env, argv, call):
     # What the command holds beyond a command that holds nothing.
     held = peak_rss(child_env, argv) - peak_rss(child_env, ["map", "1", "--op", "T"])

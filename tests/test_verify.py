@@ -22,6 +22,7 @@ from collatzq import (
 )
 from collatzq import core
 from collatzq import jump as jump_mod
+from collatzq import lemmas as lemmas_mod
 from collatzq import prefix as prefix_mod
 from collatzq import verify as verify_mod
 from collatzq.core import _u0_count
@@ -146,12 +147,12 @@ class TestLemmaSuite:
             run_lemma_suite(100, n_cap=0)
 
     def test_broken_quasi_inverse_is_caught_and_replayable(self, monkeypatch):
-        real_tau = verify_mod.core.tau
+        real_tau = lemmas_mod.core.tau
 
         def lying_tau(y):
             return 11 if y == 7 else real_tau(y)
 
-        monkeypatch.setattr(verify_mod.core, "tau", lying_tau)
+        monkeypatch.setattr(lemmas_mod.core, "tau", lying_tau)
         results = {r.check_id: r for r in run_lemma_suite(100, n_cap=5, sample_seed=1)}
         tau_check = results["L-TAU"]
         assert tau_check.failures
@@ -161,7 +162,7 @@ class TestLemmaSuite:
     def test_step_compatibility_rules_name_their_direction(self, monkeypatch):
         # A merge that leaves some decided pairs undecided breaks both
         # directions of L-INF and L-TSWD, each under its own reason.
-        real_merge = verify_mod.quotient.merge
+        real_merge = lemmas_mod.quotient.merge
 
         def forgetful_merge(x, z, cap):
             res = real_merge(x, z, cap)
@@ -169,7 +170,7 @@ class TestLemmaSuite:
                 return res._replace(merge_time=None)
             return res
 
-        monkeypatch.setattr(verify_mod.quotient, "merge", forgetful_merge)
+        monkeypatch.setattr(lemmas_mod.quotient, "merge", forgetful_merge)
         results = {r.check_id: r for r in run_lemma_suite(1000, sample_seed=3)}
         for check_id, reasons in [
             ("L-INF", {"images failed to merge": "merge_time",
@@ -224,24 +225,24 @@ _LEMMA_FAULTS = [
                  {"y", "bound", "chain", "brute"}, {"y": 5}, id="L-PRE-chain"),
     pytest.param("L-PRE", core, "preimages", _preimages_lie((7, True)),
                  {"y", "bound", "chain_u0", "brute_u0"}, {"y": 7}, id="L-PRE-chain_u0"),
-    pytest.param("L-SURJ", verify_mod, "_preimage_table", _table_lie,
+    pytest.param("L-SURJ", lemmas_mod, "_preimage_table", _table_lie,
                  {"y", "searched_up_to"}, {"y": 5}, id="L-SURJ"),
     pytest.param("L-FIX", core, "collatz_step", lambda real, x: 5 if x == 5 else real(x),
                  {"x"}, {"x": 5}, id="L-FIX"),
-    pytest.param("L-A2", verify_mod.quotient, "strict_inclusion_witness",
+    pytest.param("L-A2", lemmas_mod.quotient, "strict_inclusion_witness",
                  lambda real, x, n, search_cap: x,
                  {"x", "n", "witness", "same_at_next_level", "differs_at_level"},
                  {"same_at_next_level": True, "differs_at_level": False}, id="L-A2"),
-    pytest.param("L-A6", verify_mod.quotient, "class_n", _class_lie,
+    pytest.param("L-A6", lemmas_mod.quotient, "class_n", _class_lie,
                  {"x", "n", "z", "in_level_n_plus_1", "image_in_level_n"},
                  {"z": 5, "in_level_n_plus_1": True, "image_in_level_n": False}, id="L-A6"),
-    pytest.param("L-CI", verify_mod.quotient, "class_n", _class_lie,
+    pytest.param("L-CI", lemmas_mod.quotient, "class_n", _class_lie,
                  {"x", "n", "image", "reason"}, {"image": 1, "reason": "image left the class"},
                  id="L-CI-image"),
-    pytest.param("L-CI", verify_mod.quotient, "class_n", _class_lie,
+    pytest.param("L-CI", lemmas_mod.quotient, "class_n", _class_lie,
                  {"x", "n", "member", "reason"}, {"member": 5, "reason": "member not covered"},
                  id="L-CI-member"),
-    pytest.param("L-D1", verify_mod.quotient, "delta_n", lambda real, x, n: real(x, n) + 2,
+    pytest.param("L-D1", lemmas_mod.quotient, "delta_n", lambda real, x, n: real(x, n) + 2,
                  {"x", "delta_1", "brute_level1_min"}, {}, id="L-D1"),
     pytest.param("L-SUFF", core, "nu2", lambda real, y: 9 if y == _TAU_5_IMAGE else real(y),
                  {"x", "tau", "nu2"}, {"x": 5, "nu2": 9}, id="L-SUFF"),
@@ -253,7 +254,7 @@ class TestLemmaFailureBranches:
     def test_fault_reaches_the_failure_payload(self, monkeypatch, check_id, module, name,
                                                lie, keys, values):
         monkeypatch.setattr(module, name, functools.partial(lie, getattr(module, name)))
-        check = dict(verify_mod._CHECKS)[check_id]
+        check = dict(lemmas_mod._CHECKS)[check_id]
         _, _, failures = check(100, 5, random.Random(f"0:{check_id}"))
         assert any(set(f) == keys and values.items() <= f.items() for f in failures), failures
 
