@@ -17,10 +17,10 @@ from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import (_require_at_least, _require_fits, _require_u0, _step, _trajectory, _u0_count,
+from .core import (_iterate, _require_at_least, _require_fits, _require_u0, _step, _u0_count,
                    iterate, nu2, u0_range)
 from .errors import DomainError, ResourceLimitError
-from .quotient import ClassWindow, _meets, _walk, class_inf, delta_sequence
+from .quotient import ClassWindow, _walk, delta_sequence
 
 __all__ = [
     "BookkeepingWindow",
@@ -80,7 +80,9 @@ def class_matrices(
 
     Minima come from the exact level scan (via delta_sequence, which also
     caps each scan at the previous level's minimum); each row's class cells
-    come from one windowed scan with the given bound.  Each row's base is
+    come from one windowed scan with the given bound.  The row holds its
+    base's orbit T^0 .. T^n_max, and each candidate is stepped once against
+    it, recording the first level at which the two meet.  Each row's base is
     one step on from the row above's, as iterate(x, k + 1) == T(iterate(x, k))
     for every k.  A rectangle whose cells cannot fit in physical memory
     raises ResourceLimitError before the first row.
@@ -103,7 +105,15 @@ def class_matrices(
         row = delta_sequence(base_k, n_max).values
         # Orbits that meet stay together, so the level-n cell is the z that
         # meet the base's orbit by level n: one scan fills the whole row.
-        met = list(_meets(_trajectory(base_k, n_max), n_max, bound))
+        ys = list(accumulate(range(n_max), lambda v, _: _step(v), initial=base_k))
+        met = []
+        for z in u0_range(1, bound):
+            v = z
+            for i, y in enumerate(ys):
+                if v == y:
+                    met.append((z, i))
+                    break
+                v = _step(v)
         for n in range(n_max + 1):
             cells[(k, n)] = ClassWindow(base=base_k, level=n, bound=bound,
                                         members=[z for z, i in met if i <= n])
@@ -142,31 +152,32 @@ def connected_class(x: int, bound: int, k_range: int, cap: int) -> ClassWindow:
     """Window of the coarsest relation: elements whose forward orbit meets
     the orbit of some two-sided iterate of x.
 
-    Computed as the union of the limit-level class windows of the iterates
-    f^k x for |k| <= k_range.  The union over all k would be T-invariant;
-    the finite k_range makes this a window approximation, so the test suite
-    checks invariance as two inclusions on decided members only.
+    This is the union of the limit-level class windows (class_inf, same cap)
+    of the iterates f^k x for |k| <= K = k_range.  With b = f^-K x, z is in
+    it exactly when T^cap z is one of T^(cap+i) b for 0 <= i <= 2K, so one
+    walk of b's orbit, keeping the values up to the window's largest
+    T^cap z, builds the set every candidate is tested against.  The union is
+    exact when each of its windows is, that is when every candidate's
+    T^cap z equals all 2K + 1 of those values.  As 1 is the only fixed point
+    of T, that needs K == 0 or T^cap b == 1, and every candidate a member.
+    The union over all k would be T-invariant; the finite k_range makes this
+    a window approximation, so the test suite checks invariance as two
+    inclusions on decided members only.
     """
     _require_u0(x)
     _require_at_least(k_range, 0, "k_range")
-    # The window of iterate(x, -k_range) holds its trajectory, which passes
-    # through all 2K + 1 iterates when cap allows.  A tau step adds under 3
-    # bits, so each is below the width iterate charges for the walk back,
-    # which is refused first.
-    width = (x.bit_length() + 3 * k_range) // 8
-    _require_fits(width, f"a backward iteration of {k_range} steps")
-    _require_fits((min(cap, 2 * k_range) + 1) * (width + 32),
-                  f"a connected class over {2 * k_range + 1} iterates")
-    members: set[int] = set()
-    exact = True
-    base = iterate(x, -k_range)
+    _require_at_least(bound, 1, "bound")
+    _require_at_least(cap, 1, "cap")
+    v = root = _iterate(iterate(x, -k_range), cap)
+    top = max(_iterate(z, cap) for z in u0_range(1, bound))
+    images: set[int] = set()
     for _ in range(2 * k_range + 1):
-        w = class_inf(base, bound, cap)
-        members.update(w.members)
-        exact = exact and w.exact_within_bound
-        base = _step(base)
-    return ClassWindow(base=x, level=None, bound=bound,
-                       members=sorted(members), exact_within_bound=exact)
+        if v <= top:
+            images.add(v)
+        v = _step(v)
+    members = [z for z in u0_range(1, bound) if _iterate(z, cap) in images]
+    exact = (k_range == 0 or root == 1) and len(members) == _u0_count(1, bound)
+    return ClassWindow(base=x, level=None, bound=bound, members=members, exact_within_bound=exact)
 
 
 def sufficient_set_check(bound: int) -> SufficientSetReport:

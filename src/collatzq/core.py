@@ -119,29 +119,6 @@ def _step(v: int) -> int:
     return t >> ((t & -t).bit_length() - 1)
 
 
-def _trajectory(x: int, n: int) -> list[int]:
-    # T^0 x .. T^n x, cut after the first 1 as T(1) = 1. Callers guarantee odd x >= 1.
-    out = [x]
-    for _ in range(n):
-        if x == 1:
-            break
-        x = _step(x)
-        out.append(x)
-    return out
-
-
-def _meet(z: int, targets: list[int], n: int) -> int | None:
-    # The first i <= n with T^i z == T^i x, where targets = _trajectory(x, n)
-    # and an index past its end reads 1; None when the orbits stay apart.
-    # Orbits that meet stay together, so this decides T^n z == T^n x.
-    k = len(targets) - 1
-    for i in range(n):
-        if z == (targets[i] if i <= k else 1):
-            return i
-        z = _step(z)
-    return n if z == (targets[n] if n <= k else 1) else None
-
-
 def _iterate(v: int, n: int) -> int:
     # n unvalidated accelerated steps, holding one value; stops at 1 as
     # T(1) = 1. Callers guarantee odd v >= 1.

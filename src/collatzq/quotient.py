@@ -7,6 +7,11 @@ the level, the minimal element of a class can only shrink, and the floor is
 1.  The conjecture, in this language: everything is equivalent to 1 in the
 limit.
 
+Orbits that meet stay together, and T(1) = 1, so z is in the level-n class
+of x exactly when T^n z == T^n x, and merges with x within cap steps exactly
+when T^cap z == T^cap x.  Every class test below compares these two images,
+computing each by stepping one value.
+
 Windowed computations below are exact within their stated bound.  The
 limit-level relation is only semi-decidable, so window results carry an
 ``exact_within_bound`` flag: an undecided candidate is *never* reported as
@@ -18,8 +23,8 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from typing import Iterator, NamedTuple
 
-from .core import (_iterate, _meet, _require_at_least, _require_fits, _require_u0, _step,
-                    _trajectory, _u0_count, tau, u0_range)
+from .core import (_iterate, _require_at_least, _require_fits, _require_u0, _step, _u0_count,
+                    tau, u0_range)
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -83,13 +88,9 @@ class MergeResult(NamedTuple):
     cap: int
 
 
-def _meets(targets: list[int], n: int, bound: int) -> Iterator[tuple[int, int]]:
-    # (z, i) for each z in [1, bound], ascending, whose orbit meets targets (a
-    # base's trajectory) by level n, i the first level at which it does.
-    for z in u0_range(1, bound):
-        i = _meet(z, targets, n)
-        if i is not None:
-            yield z, i
+def _class(y: int, n: int, bound: int) -> list[int]:
+    # The z in [1, bound], ascending, whose n-th image is y.
+    return [z for z in u0_range(1, bound) if _iterate(z, n) == y]
 
 
 def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
@@ -110,7 +111,7 @@ def class_n(x: int, n: int, bound: int, method: str = "scan") -> ClassWindow:
     _require_at_least(n, 0, "level")
     _require_at_least(bound, 1, "bound")
     if method == "scan":
-        members = [z for z, _ in _meets(_trajectory(x, n), n, bound)]
+        members = _class(_iterate(x, n), n, bound)
     elif method == "bfs":
         members = sorted(_walk_class(_iterate(x, n), n, bound, _BFS_FLOOR))
     else:
@@ -208,16 +209,15 @@ def _walk_class(y: int, n: int, bound: int, floor: int) -> list[int]:
     return members
 
 
-def _least(targets: list[int], n: int, bound: int) -> int:
-    # The least z in [1, bound] with T^n z == T^n x, for targets = _trajectory(x, n) and
-    # bound such a z.  Turns of 1, 2, 4, ... candidates or nodes: the upward scan first, then
-    # the walk from T^n x, restarted with that limit and dropped past _BFS_FLOOR nodes.
-    # Candidate 1 settles a root of 1, whose walk would hold first hits only.
+def _least(root: int, n: int, bound: int) -> int:
+    # The least z in [1, bound] with T^n z == root, for bound such a z.  Turns of 1, 2, 4,
+    # ... candidates or nodes: the upward scan first, then the walk from root, restarted
+    # with that limit and dropped past _BFS_FLOOR nodes.  Candidate 1 settles a root of 1,
+    # whose walk would hold first hits only.
     scan, turn = u0_range(1, bound), 1
-    root = targets[min(n, len(targets) - 1)]
     while True:
         for z in islice(scan, turn):
-            if _meet(z, targets, n) is not None:
+            if _iterate(z, n) == root:
                 return z
         if turn <= _BFS_FLOOR:
             try:
@@ -238,7 +238,7 @@ def delta_n(x: int, n: int) -> int:
     _require_at_least(n, 0, "level")
     if n == 0:
         return x  # the level-0 class is {x}
-    return _least(_trajectory(x, n), n, x)
+    return _least(_iterate(x, n), n, x)
 
 
 def delta_sequence(x: int, n_max: int) -> DeltaSequence:
@@ -252,10 +252,10 @@ def delta_sequence(x: int, n_max: int) -> DeltaSequence:
     # A level costs `delta --sequence` about 90 bytes at its peak, most of it
     # the envelope's copy of the value (measured RSS, levels 2e5 to 1e6).
     _require_fits(128 * (n_max + 1), f"a delta sequence of levels 0..{n_max}")
-    targets = _trajectory(x, n_max)
-    values = [x]
+    values, y = [x], x
     for n in range(1, n_max + 1):
-        values.append(_least(targets, n, values[-1]))
+        y = _step(y)
+        values.append(_least(y, n, values[-1]))
     stab = values.index(1) if 1 in values else None
     return DeltaSequence(base=x, values=values, stabilization_index=stab)
 
@@ -271,8 +271,7 @@ def merge(x: int, z: int, cap: int) -> MergeResult:
     _require_at_least(cap, 1, "cap")
     if x == z:
         return MergeResult(x, z, 0, cap)
-    # Two live orbits in O(1) memory that stop where they meet, at 1 at the latest;
-    # _meet would hold min(cap, sigma(x)) values of x: gigabytes for x of 10^5 bits.
+    # Two live orbits in O(1) memory that stop where they meet, at 1 at the latest.
     a, b = x, z
     for n in range(1, cap + 1):
         a = _step(a)
@@ -292,7 +291,7 @@ def delta_inf(x: int, n_cap: int) -> tuple[int, bool]:
     """
     _require_u0(x)
     _require_at_least(n_cap, 1, "n_cap")
-    if _meet(x, [1], n_cap) is not None:  # [1] is _trajectory(1, n_cap)
+    if _iterate(x, n_cap) == 1:
         return 1, True
     return delta_n(x, n_cap), False
 
@@ -309,7 +308,7 @@ def class_inf(x: int, bound: int, cap: int) -> ClassWindow:
     _require_at_least(cap, 1, "cap")
     # Orbits that merge stay merged, so merging within cap steps is equality
     # at level cap; the window is exact when every candidate is a member.
-    members = [z for z, _ in _meets(_trajectory(x, cap), cap, bound)]
+    members = _class(_iterate(x, cap), cap, bound)
     return ClassWindow(base=x, level=None, bound=bound, members=members,
                        exact_within_bound=len(members) == _u0_count(1, bound))
 

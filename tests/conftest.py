@@ -100,12 +100,16 @@ def per_element_census():
     """first_hit(n_max, bound): how many elements of u0_range(1, bound) first
     reach 1 at each step 0..n_max, found by iterating every element forward:
     the oracle for census_class_of_one's walk and for its sweep fallback."""
-    from collatzq.quotient import _meets
+    from collatzq import collatz_step, u0_range
 
     def _first_hit(n_max, bound):
         first_hit = [0] * (n_max + 1)
-        for _, i in _meets([1], n_max, bound):
-            first_hit[i] += 1
+        for v in u0_range(1, bound):
+            i = 0
+            while v != 1 and i < n_max:
+                v, i = collatz_step(v), i + 1
+            if v == 1:
+                first_hit[i] += 1
         return first_hit
 
     return _first_hit

@@ -1,5 +1,7 @@
 """Windowed summaries: matrices, row tails, census, sufficient set."""
 
+import tracemalloc
+
 import pytest
 
 from collatzq import (
@@ -103,12 +105,34 @@ class TestRowTails:
 
 class TestConnectedClass:
     def test_union_of_orbit_classes(self):
+        # The definition: the union of the limit windows of the 2K + 1
+        # iterates, exact when every one of them is.
         win = connected_class(7, 30, 2, 200)
-        pieces = set()
-        for k in range(-2, 3):
-            pieces.update(class_inf(iterate(7, k), 30, 200).members)
-        assert win.members == sorted(pieces)
         assert win.exact_within_bound
+        for x in (1, 5, 7, 25, 77033):
+            for k_range in (0, 1, 2, 5):
+                for cap in (1, 3, 40, 200):
+                    for bound in (1, 30, 300):
+                        windows = [class_inf(iterate(x, k), bound, cap)
+                                   for k in range(-k_range, k_range + 1)]
+                        pieces = set().union(*(w.members for w in windows))
+                        win = connected_class(x, bound, k_range, cap)
+                        assert win.members == sorted(pieces), (x, k_range, cap, bound)
+                        assert win.exact_within_bound == all(
+                            w.exact_within_bound for w in windows), (x, k_range, cap, bound)
+
+    def test_many_iterates_hold_one_value_at_a_time(self):
+        # b = iterate(7, -4000) has about 12000 bits; its orbit is walked
+        # once, keeping only the values up to the window's largest image.
+        tracemalloc.start()
+        try:
+            win = connected_class(7, 10, 4000, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # T^1000 b is not yet 1, so the 8001 windows differ and none is exact.
+        assert win.members == [1, 5, 7] and not win.exact_within_bound
+        assert peak < 65_536
 
     def test_contains_base_window_class(self):
         base_only = set(class_inf(11, 100, 300).members)

@@ -2,7 +2,7 @@
 
 One case per check that rejects an argument with a DomainError: each
 public entry point is called once with one argument out of range, and the
-message must match exactly.  The 26 "must be >= floor" rules come first,
+message must match exactly.  The 28 "must be >= floor" rules come first,
 in module order, then the hand-worded ones.  Last come the refusals of
 state that cannot fit in physical memory (ResourceLimitError), and a check
 that the per-level and per-element estimates behind them cover what a
@@ -52,6 +52,10 @@ AT_LEAST = [
          "bound must be >= 1, got 0"),
     case("connected_class-k_range", lambda: bookkeeping.connected_class(7, 10, -1, 5),
          "k_range must be >= 0, got -1"),
+    case("connected_class-bound", lambda: bookkeeping.connected_class(7, 0, 2, 5),
+         "bound must be >= 1, got 0"),
+    case("connected_class-cap", lambda: bookkeeping.connected_class(7, 10, 2, 0),
+         "cap must be >= 1, got 0"),
     case("sufficient_set_check-bound", lambda: bookkeeping.sufficient_set_check(0),
          "bound must be >= 1, got 0"),
     case("sufficient_set_members-bound", lambda: bookkeeping.sufficient_set_members(0),
@@ -113,8 +117,9 @@ TOO_BIG = [
     case("iterate-backward", lambda: core.iterate(7, -LEVELS),
          "a backward iteration of 18446744073709551617 steps needs about "
          "6917529027641081856 bytes, more than the 1073741824 bytes of physical memory"),
-    case("connected_class-iterates", lambda: bookkeeping.connected_class(7, 10, 40_000, 10**5),
-         "a connected class over 80001 iterates needs about 1202575032 bytes, "
+    case("connected_class-walk-back",
+         lambda: bookkeeping.connected_class(7, 10, 40_000_000_000, 10**5),
+         "a backward iteration of 40000000000 steps needs about 15000000000 bytes, "
          "more than the 1073741824 bytes of physical memory"),
     case("range-prefix", lambda: verify.verify_conjecture_range(1, 10**15),
          "a sweep of [1, 1000000000000000] needs about 1333333333398872 bytes, "

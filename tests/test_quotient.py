@@ -25,7 +25,6 @@ from collatzq import (
     u0_range,
 )
 from collatzq import quotient as quotient_mod
-from collatzq.core import _meet, _trajectory
 
 
 def raw_step(v):
@@ -147,42 +146,41 @@ class TestDelta:
         # The level-0 class is {x}, so no candidate below x is tested.
         from collatzq import quotient as quotient_mod
 
-        def no_scan(z, targets, n):
+        def no_scan(z, n):
             raise AssertionError(f"tested candidate {z} at level 0")
 
-        monkeypatch.setattr(quotient_mod, "_meet", no_scan)
+        monkeypatch.setattr(quotient_mod, "_iterate", no_scan)
         assert delta_n(10**12 + 1, 0) == 10**12 + 1
         assert delta_n(1, 0) == 1
 
     def test_small_minimum_of_a_large_base_is_found_at_once(self, monkeypatch):
-        U0_TO_1E6 = st.tuples(st.integers(min_value=0, max_value=166_665), st.sampled_from([1, 5])).map(
-    lambda t: 6 * t[0] + t[1]
-)
-# x = 31 * 4^k + (4^k - 1)/3 has T(x) = T(31) = 47, so from level 1 on
+        # x = 31 * 4^k + (4^k - 1)/3 has T(x) = T(31) = 47, so from level 1 on
         # its minima are 31's.  Finding them tests at most the 11 candidates
-        # up to 31 per level and holds no more than a trajectory, however
+        # up to 31 per level and holds no more than a few values, however
         # wide the preimage tree of T^n(x) within [1, x] is (here a walk of
-        # that tree would hold about 180 KB).
+        # that tree would hold about 180 KB).  Each candidate test computes
+        # one image through quotient._iterate, and delta_n computes one more,
+        # x's own; delta_sequence steps x's image instead.
         import tracemalloc
 
         from collatzq import quotient as quotient_mod
 
         x = 31 * 4**7 + (4**7 - 1) // 3
         want = delta_sequence(31, 20).values[1:]
-        meet = quotient_mod._meet
+        image = quotient_mod._iterate
         tested = []
 
-        def counting(z, targets, n):
+        def counting(z, n):
             tested.append(z)
-            return meet(z, targets, n)
+            return image(z, n)
 
-        monkeypatch.setattr(quotient_mod, "_meet", counting)
+        monkeypatch.setattr(quotient_mod, "_iterate", counting)
         tracemalloc.start()
         try:
             assert delta_n(x, 20) == want[-1]
-            assert len(tested) <= 11
+            assert tested[0] == x and len(tested) <= 1 + 11
             assert delta_sequence(x, 20).values[1:] == want
-            assert len(tested) <= 11 * 21
+            assert len(tested) <= 1 + 11 * 21
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -190,13 +188,31 @@ class TestDelta:
 
     def test_levels_past_one_hold_no_trajectory(self):
         # 7 reaches 1 in 5 steps, so a level of 10^7 costs what level 5 costs:
-        # the base's trajectory is kept only up to its first 1.
+        # every image stops at its first 1.
         want_inf = class_inf(7, 30, 100).members
         want_n = class_n(7, 100, 30).members
         for check in (
             lambda: delta_n(7, 10**7) == 1,
             lambda: class_inf(7, 30, 10**7).members == want_inf,
             lambda: class_n(7, 10**7, 30).members == want_n,
+        ):
+            tracemalloc.start()
+            try:
+                assert check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 65_536
+
+    def test_a_huge_base_holds_one_image(self):
+        # A candidate is tested against T^n x alone, so memory does not grow
+        # with the orbit of x; keeping that orbit took 10-38 MB here.  Both
+        # bases reach 1 within the level (in 38358 and 19794 steps).
+        every = list(u0_range(1, 100))
+        for check in (
+            lambda: class_n(2**8001 - 1, 40000, 100, "scan").members == every,
+            lambda: class_inf(2**8001 - 1, 100, 40000).members == every,
+            lambda: delta_n(2**4001 - 1, 20000) == 1,
         ):
             tracemalloc.start()
             try:
@@ -215,10 +231,18 @@ class TestDelta:
                 assert class_n(d, n, 800).members == class_n(x, n, 800).members
 
 
+def raw_path(v, n):
+    # T^0 v .. T^n v by the raw step.
+    path = [v]
+    for _ in range(n):
+        path.append(raw_step(path[-1]))
+    return path
+
+
 def scan_min(x, n):
     # The oracle of delta_n: the first candidate of [1, x) in x's level-n class, else x.
-    met = quotient_mod._meets(_trajectory(x, n), n, x - 1)
-    return x if n == 0 else next((z for z, _ in met), x)
+    tx = raw_iter(x, n)
+    return next((z for z in u0_range(1, x - 1) if raw_iter(z, n) == tx), x)
 
 
 def scan_minima(x, n_max):
@@ -227,10 +251,15 @@ def scan_minima(x, n_max):
     # is each level's minimum.  One that meets it at level 1 settles every
     # level but 0, whose minimum is x, so the scan stops there.
     values = [x] * (n_max + 1)
-    for z, i in quotient_mod._meets(_trajectory(x, n_max), n_max, x - 1):
-        values[i:] = [min(v, z) for v in values[i:]]
-        if i == 1:
-            break
+    path = raw_path(x, n_max)
+    for z in u0_range(1, x - 1):
+        v, i = z, 0
+        while i <= n_max and v != path[i]:
+            v, i = raw_step(v), i + 1
+        if i <= n_max:
+            values[i:] = [min(m, z) for m in values[i:]]
+            if i == 1:
+                break
     return values
 
 
@@ -299,21 +328,18 @@ class TestMerge:
             x, z = rng.choice(pool), rng.choice(pool)
             assert merge(x, z, 50).merge_time == merge(z, x, 50).merge_time
 
-    def test_meet_and_merge_find_the_brute_first_meeting(self):
-        # merge steps two orbits; _meet reads one against a stored trajectory
-        # cut at 1.  Both must give the first level where the images agree.
+    def test_merge_finds_the_brute_first_meeting(self):
+        # merge steps two orbits and must give the first level where the
+        # images agree.
         pool = list(u0_range(1, 200))
-        paths = {x: [raw_iter(x, i) for i in range(61)] for x in pool}
-        for n in (0, 1, 2, 5, 20, 60):
+        paths = {x: raw_path(x, 60) for x in pool}
+        for n in (1, 2, 5, 20, 60):
             for x in pool:
-                targets = _trajectory(x, n)
                 for z in pool:
                     want = next(
                         (i for i in range(n + 1) if paths[x][i] == paths[z][i]), None
                     )
-                    assert _meet(z, targets, n) == want
-                    if n:
-                        assert merge(x, z, n).merge_time == want
+                    assert merge(x, z, n).merge_time == want
 
     def test_merge_time_is_first_agreement(self):
         rng = random.Random(6)
