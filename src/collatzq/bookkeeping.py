@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .core import (_iterate, _require_at_least, _require_fits, _require_u0, _step, _u0_count,
-                   iterate, nu2, u0_range)
+                   iterate, u0_range)
 from .errors import DomainError, ResourceLimitError
 from .quotient import ClassWindow, _walk, delta_sequence
 
@@ -208,7 +208,8 @@ def sufficient_set_members(bound: int) -> list[int]:
     # A window element costs `suffset --members` about 110 bytes at its peak,
     # its member entry in the envelope included (measured RSS, bound 1e6).
     _require_fits(128 * _u0_count(1, bound), f"a sufficient-set member list of [1, {bound}]")
-    return [x for x in u0_range(1, bound) if 1 <= nu2(3 * x + 1) <= 4]
+    # 3x + 1 is even, and 32 divides it exactly when x = 21 (mod 32).
+    return [x for x in u0_range(1, bound) if x % 32 != 21]
 
 
 def census_class_of_one(n_max: int, bound: int) -> list[tuple[int, int]]:

@@ -247,30 +247,26 @@ def _cmd_preimage(ns, cache):
     return {"preimages": pres, "count": len(pres)}, 0
 
 
+def _window_result(win, *fields):
+    # The named ClassWindow fields in order, with count right after members.
+    result = {}
+    for field in fields:
+        result[field] = getattr(win, field)
+        if field == "members":
+            result["count"] = len(win.members)
+    return result, 0
+
+
 def _cmd_class(ns, cache):
     from . import quotient
-    win = quotient.class_n(ns.x, ns.n, ns.bound, method=ns.method)
-    result = {
-        "base": win.base,
-        "level": win.level,
-        "bound": win.bound,
-        "members": win.members,
-        "count": len(win.members),
-    }
-    return result, 0
+    return _window_result(quotient.class_n(ns.x, ns.n, ns.bound, method=ns.method),
+                          "base", "level", "bound", "members")
 
 
 def _cmd_class_inf(ns, cache):
     from . import quotient
-    win = quotient.class_inf(ns.x, ns.bound, ns.cap)
-    result = {
-        "base": win.base,
-        "bound": win.bound,
-        "members": win.members,
-        "count": len(win.members),
-        "exact_within_bound": win.exact_within_bound,
-    }
-    return result, 0
+    return _window_result(quotient.class_inf(ns.x, ns.bound, ns.cap),
+                          "base", "bound", "members", "exact_within_bound")
 
 
 def _cmd_delta(ns, cache):
@@ -361,14 +357,8 @@ def _cmd_suffset(ns, cache):
 
 def _cmd_appendix_class(ns, cache):
     from . import bookkeeping
-    win = bookkeeping.connected_class(ns.x, ns.bound, ns.k_range, ns.cap)
-    result = {
-        "base": win.base,
-        "members": win.members,
-        "count": len(win.members),
-        "exact_within_bound": win.exact_within_bound,
-    }
-    return result, 0
+    return _window_result(bookkeeping.connected_class(ns.x, ns.bound, ns.k_range, ns.cap),
+                          "base", "members", "exact_within_bound")
 
 
 def _cmd_verify_lemmas(ns, cache):

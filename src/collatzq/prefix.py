@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from . import core, jump
 from .core import _require_fits, _u0_count, u0_range
-from .jump import _entry, _sieve_table
+from .jump import _FINDING_BYTES, _entry, _sieve_table
 
 if TYPE_CHECKING:
     from .cache import OrbitCache
@@ -131,7 +131,8 @@ def _fill(totals: array, view: memoryview, parts: list, lo: int, end: int,
 def _sweep_prefix(hi: int, max_steps: int) -> tuple:
     # ((count, steps_max, exc_max, cycles, truncated), holders, totals) of
     # [1, hi].  1, the kernel's cycle 1 -> 1, is seeded with 0 steps.
-    # holders maps each record holder to its total, -1 where it is undefined.
+    # holders maps each record holder whose total is defined to that total;
+    # the findings lists ascend, and their growth is charged after each block.
     _require_fits(_prefix_bytes(hi), f"a sweep of [1, {hi}]")
     segment = jump._segment_outcome
     parts = _parts(max_steps)
@@ -156,7 +157,8 @@ def _sweep_prefix(hi: int, max_steps: int) -> tuple:
             totals[x // 3] = total
             if mx > exc_max:
                 exc_max = mx
-                holders[x] = max(total, -1)
+                if total >= 0:
+                    holders[x] = total
         # The delay records of the block: its first maximum, if it beats
         # steps_max, then the same on the slots before it.
         k0, k1 = _u0_count(1, lo - 1), _u0_count(1, end - 1)
@@ -166,19 +168,19 @@ def _sweep_prefix(hi: int, max_steps: int) -> tuple:
             holders[3 * k1 + 1 + (k1 & 1)] = best
             best = max(view[k0:k1], default=-1)
         steps_max = max(steps_max, top)
+        found = len(cycles) + len(truncated)
+        _require_fits(_prefix_bytes(hi) + _FINDING_BYTES * found,
+                      f"a sweep of [1, {hi}] with {found} findings so far")
         lo, end = end, min(hi + 1, end + min(end // 8, _MAX_BLOCK))
     return (_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders, totals
 
 
 def _store_records(cache: OrbitCache, holders: dict[int, int]) -> None:
-    # Each record holder whose steps are defined, in ascending order: its
-    # exact orbit from core.orbit, checked against the composed total, and
-    # one batch store, which counts hits and misses and raises CacheError
-    # for a cached record that disagrees.
+    # Each record holder, ascending: its exact orbit from core.orbit, checked
+    # against the composed total, and one batch store, which counts hits and
+    # misses and raises CacheError for a cached record that disagrees.
     records = []
     for x, total in sorted(holders.items()):
-        if total < 0:
-            continue
         orbit = core.orbit(x, max(total, 1))
         if orbit.steps_to_one != total:
             raise RuntimeError(

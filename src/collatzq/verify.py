@@ -29,9 +29,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import _require_at_least, _u0_count
+from .core import _require_at_least, _require_fits, _u0_count
 from .errors import DomainError
-from .jump import _SIEVE_MOD, _sieve_table
+from .jump import _FINDING_BYTES, _SIEVE_MOD, _sieve_table
 from . import jump
 
 if TYPE_CHECKING:
@@ -88,19 +88,24 @@ def _sieve_window(lo: int, hi: int, max_steps: int) -> tuple:
     mod = _SIEVE_MOD
     residues = [*survivors, *chain.from_iterable(
         range(r, mod, period) for _, _, s, r, period in classes if s > max_steps)]
+    residues.sort()  # so x, and with it each findings list, ascends
     steps_max = exc_max = 0
     cycles: list[int] = []
     truncated: list[int] = []
-    for x in (base + r for base in range(lo - lo % mod, hi + 1, mod) for r in residues):
-        if lo <= x <= hi and x % 3:
-            kind, s, _, mx = segment(x, max_steps, exc_max)
-            if kind == "drop":
-                steps_max = max(steps_max, s)
-            elif kind == "cycle":
-                cycles.append(x)
-            else:
-                truncated.append(x)
-            exc_max = max(exc_max, mx)
+    for base in range(lo - lo % mod, hi + 1, mod):
+        for x in (base + r for r in residues):
+            if lo <= x <= hi and x % 3:
+                kind, s, _, mx = segment(x, max_steps, exc_max)
+                if kind == "drop":
+                    steps_max = max(steps_max, s)
+                elif kind == "cycle":
+                    cycles.append(x)
+                else:
+                    truncated.append(x)
+                exc_max = max(exc_max, mx)
+        found = len(cycles) + len(truncated)
+        _require_fits(_FINDING_BYTES * found,
+                      f"a sweep of [{lo}, {hi}] with {found} findings so far")
 
     for hi_mul, hi_add, s, r, period in classes:
         if s <= max_steps and (x := _top_member(r, period, lo, hi)):
@@ -129,14 +134,14 @@ def verify_conjecture_range(
 
     A trajectory that returns to its start is a cycle; one that exhausts
     max_steps while at or above its start is truncated.  Either finding is
-    reported in its own list and forces all_reach_one to False.
+    reported in its own ascending list and forces all_reach_one to False.
 
     When lo == 1 the report's step statistics are exact steps-to-one,
     composed in one ascending pass over blocks, which also finds the
-    record holders: the delay records (steps to 1 above every smaller
-    element's) and the path records (orbit maximum above every smaller
-    element's).  An attached cache never supplies a number to the report.
-    Each record holder whose steps are defined is recomputed with
+    record holders whose steps are defined: the delay records (steps to 1
+    above every smaller element's) and the path records (orbit maximum
+    above every smaller element's).  An attached cache never supplies a
+    number to the report.  Each record holder is recomputed with
     core.orbit, checked against the composed total and stored; a cached
     record that disagrees raises CacheError.  For lo > 1 exact totals are
     not derivable from the range alone, so statistics are segment-local
@@ -144,8 +149,9 @@ def verify_conjecture_range(
 
     Every sweep runs in the calling process; a caller that wants more cores
     sweeps disjoint windows in separate processes and folds their reports.
-    From 1 the sweep keeps a 4-byte total per element; one that would need
-    more than physical memory raises ResourceLimitError before iterating.
+    From 1 the sweep keeps a 4-byte total per element, charged before it
+    iterates, and either sweep charges each finding as its list grows; a
+    charge past physical memory raises ResourceLimitError.
     ``workers`` is validated but has no effect.
     """
     _require_at_least(lo, 1, "lo")
@@ -162,7 +168,5 @@ def verify_conjecture_range(
     else:
         summary = _sieve_window(lo, hi, max_steps)
     checked, steps_max, exc_max, cycles, truncated = summary
-    return RangeVerificationReport(
-        lo=lo, hi=hi, elements_checked=checked, all_reach_one=not cycles and not truncated,
-        max_steps_observed=steps_max, max_excursion_observed=exc_max,
-        cycles_found=sorted(cycles), truncated_elements=sorted(truncated))
+    return RangeVerificationReport(lo, hi, checked, not cycles and not truncated, steps_max,
+                                   exc_max, cycles, truncated)

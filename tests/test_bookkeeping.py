@@ -154,6 +154,15 @@ class TestSufficientSet:
         for x in u0_range(1, 1_000):
             assert (x in members) == (1 <= nu2(3 * x + 1) <= 4)
 
+    @pytest.mark.parametrize("bounds", [range(1, 301), [10_000, 123_457]])
+    def test_residue_rule_is_the_definition(self, bounds):
+        # The members come from x mod 32; the definition's nu2 is taken here
+        # from the lowest set bit of 3x + 1.
+        for bound in bounds:
+            want = [x for x in u0_range(1, bound)
+                    if 1 <= ((3 * x + 1) & -(3 * x + 1)).bit_length() - 1 <= 4]
+            assert sufficient_set_members(bound) == want, bound
+
     def test_check_zero_violations(self):
         report = sufficient_set_check(5_000)
         assert report.violations == []

@@ -174,6 +174,29 @@ def test_census_past_its_walk_refuses_an_unfit_sweep_in_one_line(capsys, monkeyp
                             "more than the 40000 bytes of physical memory\n")
 
 
+@pytest.mark.parametrize("lo", [1, 3])
+def test_sweep_refuses_findings_past_memory_in_one_line(capsys, monkeypatch, tmp_path, lo):
+    # Just above the up-front charge of a sweep from 1 (one above 1 has none),
+    # the truncations of --max-steps 1 outgrow memory within a few blocks or
+    # one sieve period, while the default budget, which finds nothing, runs.
+    from collatzq import jump, prefix
+
+    have = prefix._prefix_bytes(300_000) + 1
+    monkeypatch.setattr(core, "_physical_memory", lambda: have)
+    path = tmp_path / "c.jsonl"
+    argv = ["verify", "range", "--from", str(lo), "--to", "300000",
+            *(["--cache", str(path)] if lo == 1 else [])]  # a cache serves sweeps from 1 only
+    assert main([*argv, "--max-steps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    found, need = map(int, re.fullmatch(
+        rf"collatzq: error: a sweep of \[{lo}, 300000\] with (\d+) findings so far needs about "
+        rf"(\d+) bytes, more than the {have} bytes of physical memory\n", captured.err).groups())
+    assert need == (have - 1 if lo == 1 else 0) + jump._FINDING_BYTES * found > have
+    assert not path.exists()
+    assert main([*argv, "--quiet"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["map", "7", "--op", "f", "--k", str(-LEVELS)],
     ["appendix-class", "7", "--bound", "10", "--k-range", str(LEVELS)],

@@ -539,6 +539,22 @@ class TestPrefixMemoryCap:
         need = prefix_mod._prefix_bytes(hi)
         assert peak <= need <= 2 * peak
 
+    def test_findings_are_held_once(self):
+        # Each truncation of --max-steps 1 is held once, as an int in its
+        # ascending list: about 40 bytes, where a record-holder entry and a
+        # sorted copy held it three times (112 bytes).
+        hi = 300_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = verify_conjecture_range(1, hi, max_steps=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        found = len(report.truncated_elements)
+        assert found == 50_000 and not report.cycles_found
+        assert peak <= prefix_mod._prefix_bytes(hi) + 64 * found
+
     def test_cached_sweep_refused_at_its_own_cost(self, tmp_path, monkeypatch):
         hi = 3_000
         need = prefix_mod._prefix_bytes(hi)
@@ -578,7 +594,8 @@ def per_element_prefixes(his, max_steps, segment=stepwise_segment):
             holders[x] = total
         if mx > exc_max:
             exc_max = mx
-            holders[x] = total
+            if total >= 0:
+                holders[x] = total
     for hi in pending:
         out[hi] = ((_u0_count(1, hi), steps_max, exc_max, cycles, truncated), holders)
     return out
@@ -593,8 +610,8 @@ def per_element_prefix(hi, max_steps, segment=stepwise_segment):
     x's exact steps to 1, or -1 where a cycle or truncation upstream leaves
     it undefined; a drop target is a smaller restricted-domain element, so
     its total is known before x's.  holders maps each x where steps_max
-    rises, and each x whose segment peak beats every earlier segment peak,
-    to its total.
+    rises, and each x with a defined total whose segment peak beats every
+    earlier segment peak, to its total.
     """
     return per_element_prefixes([hi], max_steps, segment)[hi]
 
@@ -655,13 +672,21 @@ class TestStridedPrefixPass:
         assert {x for x in u0_range(4096, 20_000) if x % 16 == 3 and x % 36 not in (11, 35)} \
             <= got[1].keys()
 
+    def test_holders_have_defined_totals(self):
+        # Half the elements are truncated at one step, and a path record
+        # among them is not a record holder: the cache stores only holders,
+        # each with its total.
+        summary, holders, totals = prefix_mod._sweep_prefix(300_000, 1)
+        assert len(summary[4]) == 50_000
+        assert holders and all(t >= 0 and totals[x // 3] == t for x, t in holders.items())
+
     @pytest.mark.parametrize("kind", ["cycle", "truncated"])
     def test_injected_finding_leaves_strided_descendants_undefined(self, monkeypatch, kind):
         # s = 4127 is a sieve survivor past the head, iterated by the pass.
         # x = 44021 = 1 (mod 4) is strided and drops to s in one step, and
         # the iterated y = 46375 drops to x.  A finding at s leaves x's total
-        # undefined, so y, given a peak that makes it a path record, is
-        # held with -1, in the strided pass as in the per-element oracle.
+        # undefined, and so y's: y, given a peak that makes it a path record,
+        # is not held, in the strided pass as in the per-element oracle.
         s, x, y, hi = 4127, 44021, 46375, 50_000
         real = jump_mod._segment_outcome
         assert s in jump_mod._sieve_table().survivors
@@ -686,9 +711,9 @@ class TestStridedPrefixPass:
             return (kind, max_steps, 0, top) if kind == "truncated" else (kind, 4, s, top)
 
         monkeypatch.setattr(jump_mod, "_segment_outcome", finding_at_s)
-        got = prefix_mod._sweep_prefix(hi, 10_000)[:2]
-        assert got == per_element_prefix(hi, 10_000, lambda z, m: finding_at_s(z, m, 0))
-        assert got[1][y] == -1
+        got = prefix_mod._sweep_prefix(hi, 10_000)
+        assert got[:2] == per_element_prefix(hi, 10_000, lambda z, m: finding_at_s(z, m, 0))
+        assert got[2][y // 3] < 0 and y not in got[1]
         assert got[0][3 if kind == "cycle" else 4] == [s]
         report = verify_conjecture_range(1, hi)
         assert not report.all_reach_one
@@ -789,6 +814,17 @@ class TestResidueSieve:
             hi = lo + width
             want = per_element_report(lo, hi, max_steps)
             assert verify_conjecture_range(lo, hi, max_steps) == want
+
+    @pytest.mark.parametrize("max_steps", [1, 3, 9])
+    @pytest.mark.parametrize("lo, hi", [
+        (2**16 - 5_000, 2**16 + 5_000), (10**12, 10**12 + 200_000), (2**64, 2**64 + 200_000)])
+    def test_findings_ascend_across_sieve_periods(self, lo, hi, max_steps):
+        # The report holds the window's own findings lists, unsorted, so the
+        # window must visit its elements in order, period by period.
+        _, _, _, cycles, truncated = verify_mod._sieve_window(lo, hi, max_steps)
+        want = per_element_report(lo, hi, max_steps)
+        assert truncated == sorted(truncated) and truncated
+        assert (cycles, truncated) == (want.cycles_found, want.truncated_elements)
 
     def test_window_of_five_thousand_from_two(self):
         for max_steps in (3, 10_000):
